@@ -13,7 +13,7 @@
 
 use crate::compat::{routed_metadata, HostDirect, MODE_NATIVE, MODE_SERIALIZED};
 use crate::offload::OffloadClient;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError};
+use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use pbo_cache::ResponseCache;
 use pbo_grpc::{spawn_server, ServerHandle, ServiceRegistry};
 use pbo_metrics::{Counter, Gauge, Registry};
@@ -402,6 +402,106 @@ impl Drop for XrpcTerminator {
     }
 }
 
+/// Longest the poller blocks in one place. While it waits on one side an
+/// event on the other goes unseen — an unsolicited completion (control
+/// record, NACK) while parked on the hand-off channel, the `stop` flag, a
+/// token-bucket refill, the HA lease deadline — so this bounds how late
+/// any of those is noticed.
+const IDLE_WAIT_BOUND: Duration = Duration::from_millis(1);
+
+/// The poller's end of the xRPC hand-off: the request channel, the stop
+/// flag, and the request a blocking receive woke the poller with. That
+/// request is handed out first by the next [`Handoff::ready`], so it is
+/// classified by the same intake code as one found without blocking.
+struct Handoff {
+    rx: Receiver<ForwardRequest>,
+    stop: Arc<AtomicBool>,
+    woken: Option<ForwardRequest>,
+}
+
+impl Handoff {
+    fn new(rx: Receiver<ForwardRequest>, stop: Arc<AtomicBool>) -> Self {
+        Self {
+            rx,
+            stop,
+            woken: None,
+        }
+    }
+
+    /// Forwarded requests available right now, oldest first.
+    fn ready(&mut self) -> impl Iterator<Item = ForwardRequest> + '_ {
+        self.woken.take().into_iter().chain(self.rx.try_iter())
+    }
+
+    /// The poller's one blocking point: sleeps where the next event will
+    /// come from (the `poll()` sleep of §III.C). `drained` says the loop
+    /// holds no backlog, queued request or grant of its own. When that is
+    /// so and the RDMA side is quiescent — or there is no live client at
+    /// all — no completion can be next, so this parks on the hand-off
+    /// channel; otherwise it waits on the completion queue. After parking
+    /// it still runs a zero-timeout event-loop pass, so whatever reached
+    /// the completion queue meanwhile (a `CACHE_INVALIDATE`, say) is
+    /// applied before the woken request is classified. Returns `true`
+    /// when the poller should exit: stopped, and nothing left anywhere.
+    fn wait(
+        &mut self,
+        mut client: Option<&mut OffloadClient>,
+        drained: bool,
+    ) -> Result<bool, RpcError> {
+        let park = client
+            .as_mut()
+            .is_none_or(|c| drained && c.rpc().is_quiescent());
+        let mut cq_wait = IDLE_WAIT_BOUND;
+        if park {
+            match self.rx.recv_timeout(IDLE_WAIT_BOUND) {
+                Ok(req) => {
+                    self.woken = Some(req);
+                    cq_wait = Duration::ZERO;
+                }
+                Err(RecvTimeoutError::Timeout) => cq_wait = Duration::ZERO,
+                // Every sender is gone and the receive returns at once:
+                // wait out the bound below instead of spinning.
+                Err(RecvTimeoutError::Disconnected) => {}
+            }
+        }
+        match client.as_mut() {
+            Some(c) => {
+                c.event_loop(cq_wait)?;
+            }
+            // No completion queue either (HA, dead lease), and with the
+            // channel disconnected no request can come: sit out the bound.
+            None => std::thread::park_timeout(cq_wait),
+        }
+        Ok(drained
+            && self.woken.is_none()
+            && self.stop.load(Ordering::Acquire)
+            && client.is_none_or(|c| c.rpc().outstanding() == 0)
+            && self.rx.is_empty())
+    }
+}
+
+/// Queues one forwarded request with its tenant, or answers it with the
+/// retryable [`STATUS_SHED`] when admission refuses it — the datapath
+/// never sees a shed request.
+fn offer_or_shed(sched: &mut TenantScheduler<ForwardRequest>, req: ForwardRequest, now_ns: u64) {
+    let tenant = req.tenant.clone();
+    let cost = req.wire.len() as u32;
+    if let Err((req, _reason)) = sched.offer(&tenant, req, cost, now_ns) {
+        let _ = req.resp_tx.send((STATUS_SHED, Vec::new()));
+    }
+}
+
+/// Intake for the loops with nothing in front of the scheduler: admits
+/// what the xRPC side has forwarded, up to a 512-deep queue per pass.
+fn admit_ready(handoff: &mut Handoff, sched: &mut TenantScheduler<ForwardRequest>, now_ns: u64) {
+    for req in handoff.ready() {
+        offer_or_shed(sched, req, now_ns);
+        if sched.queued() >= 512 {
+            break;
+        }
+    }
+}
+
 /// The poller loop: drains forwarded requests into the RPC-over-RDMA
 /// client, retries on backpressure (credits / send-buffer), and drives the
 /// event loop. Public so measured-mode harnesses can run it on a thread
@@ -425,21 +525,13 @@ pub fn poller_loop_traced(
     stop: Arc<AtomicBool>,
     trace: Option<SpanSink>,
 ) -> Result<(), RpcError> {
+    let mut handoff = Handoff::new(rx, stop);
     let mut backlog: VecDeque<ForwardRequest> = VecDeque::new();
     loop {
         // Refill the backlog ("the user is responsible for queueing enough
         // requests to fill a block before calling the event loop", §IV).
-        loop {
-            match rx.try_recv() {
-                Ok(req) => backlog.push_back(req),
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    if backlog.is_empty() && stop.load(Ordering::Acquire) {
-                        return Ok(());
-                    }
-                    break;
-                }
-            }
+        for req in handoff.ready() {
+            backlog.push_back(req);
             if backlog.len() >= 512 {
                 break;
             }
@@ -498,12 +590,7 @@ pub fn poller_loop_traced(
                 Err(e) => return Err(e),
             }
         }
-        client.event_loop(Duration::from_millis(1))?;
-        if stop.load(Ordering::Acquire)
-            && backlog.is_empty()
-            && client.rpc().outstanding() == 0
-            && rx.is_empty()
-        {
+        if handoff.wait(Some(&mut client), backlog.is_empty())? {
             return Ok(());
         }
     }
@@ -523,6 +610,7 @@ pub fn poller_loop_scheduled(
     trace: Option<SpanSink>,
     mut sched: TenantScheduler<ForwardRequest>,
 ) -> Result<(), RpcError> {
+    let mut handoff = Handoff::new(rx, stop);
     let epoch = Instant::now();
     let (done_tx, done_rx) = unbounded::<usize>();
     // A dispatched request the RDMA client pushed back on (credits / send
@@ -532,33 +620,7 @@ pub fn poller_loop_scheduled(
     loop {
         let now_ns = epoch.elapsed().as_nanos() as u64;
         // Classify + admit everything the xRPC side has forwarded.
-        loop {
-            match rx.try_recv() {
-                Ok(req) => {
-                    let tenant = req.tenant.clone();
-                    let cost = req.wire.len() as u32;
-                    if let Err((req, _reason)) = sched.offer(&tenant, req, cost, now_ns) {
-                        // Shed: retryable RESOURCE_EXHAUSTED back to the
-                        // xRPC client; the datapath never sees it.
-                        let _ = req.resp_tx.send((STATUS_SHED, Vec::new()));
-                    }
-                }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    if pending.is_none()
-                        && sched.queued() == 0
-                        && stop.load(Ordering::Acquire)
-                        && client.rpc().outstanding() == 0
-                    {
-                        return Ok(());
-                    }
-                    break;
-                }
-            }
-            if sched.queued() >= 512 {
-                break;
-            }
-        }
+        admit_ready(&mut handoff, &mut sched, now_ns);
         // Return completed grants before asking for new dispatches.
         while let Ok(t) = done_rx.try_recv() {
             sched.complete(t);
@@ -634,16 +696,7 @@ pub fn poller_loop_scheduled(
                 Err(e) => return Err(e),
             }
         }
-        client.event_loop(Duration::from_millis(1))?;
-        while let Ok(t) = done_rx.try_recv() {
-            sched.complete(t);
-        }
-        if stop.load(Ordering::Acquire)
-            && pending.is_none()
-            && sched.queued() == 0
-            && client.rpc().outstanding() == 0
-            && rx.is_empty()
-        {
+        if handoff.wait(Some(&mut client), pending.is_none() && sched.queued() == 0)? {
             return Ok(());
         }
     }
@@ -670,6 +723,7 @@ pub fn poller_loop_cached(
     cache: ResponseCache,
     tracer: Tracer,
 ) -> Result<(), RpcError> {
+    let mut handoff = Handoff::new(rx, stop);
     let epoch = Instant::now();
     let (done_tx, done_rx) = unbounded::<usize>();
     let mut pending: Option<Scheduled<ForwardRequest>> = None;
@@ -685,70 +739,51 @@ pub fn poller_loop_cached(
             cache.invalidate_class(class);
         }
         // Classify: cache hits answered inline, misses admitted.
-        loop {
-            match rx.try_recv() {
-                Ok(req) => {
-                    if let Some((status, payload)) =
-                        cache.lookup(&req.tenant, req.proc_id, &req.wire, now_ns)
-                    {
-                        // Front-door rate limit still applies: a hit is
-                        // nearly free, so it costs one token, not its
-                        // byte size.
-                        match sched.admit(&req.tenant, 1, now_ns) {
-                            Ok(_) => {
-                                let _ = req.resp_tx.send((status, payload));
-                                if let (Some(sink), true) = (&trace, req.recv_ns != 0) {
-                                    synthetic += 1;
-                                    let tid = (1u64 << 48) | synthetic;
-                                    let end_ns = tracer.now_ns();
-                                    sink.record(Span {
-                                        trace_id: tid,
-                                        stage: stages::TERMINATE,
-                                        start_ns: req.recv_ns,
-                                        end_ns,
-                                        bytes: req.wire.len() as u64,
-                                    });
-                                    sink.record(Span {
-                                        trace_id: tid,
-                                        stage: stages::CACHE_HIT,
-                                        start_ns: req.recv_ns,
-                                        end_ns,
-                                        bytes: req.wire.len() as u64,
-                                    });
-                                    sink.annotate(
-                                        tid,
-                                        Some(&req.tenant),
-                                        Some(proc_class(req.proc_id)),
-                                        Some(Route::Cached.name()),
-                                    );
-                                }
-                            }
-                            Err(_) => {
-                                let _ = req.resp_tx.send((STATUS_SHED, Vec::new()));
-                            }
-                        }
-                        continue;
-                    }
-                    let tenant = req.tenant.clone();
-                    let cost = req.wire.len() as u32;
-                    if let Err((req, _reason)) = sched.offer(&tenant, req, cost, now_ns) {
-                        let _ = req.resp_tx.send((STATUS_SHED, Vec::new()));
-                    }
-                }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    if pending.is_none()
-                        && sched.queued() == 0
-                        && stop.load(Ordering::Acquire)
-                        && client.rpc().outstanding() == 0
-                    {
-                        return Ok(());
-                    }
+        for req in handoff.ready() {
+            // For a traced request, stamp where the lookup starts: that
+            // is where `terminate` ends and `cache_hit` begins on a hit.
+            let traced = match &trace {
+                Some(sink) if req.recv_ns != 0 => Some((sink, tracer.now_ns())),
+                _ => None,
+            };
+            let Some((status, payload)) = cache.lookup(&req.tenant, req.proc_id, &req.wire, now_ns)
+            else {
+                offer_or_shed(&mut sched, req, now_ns);
+                if sched.queued() >= 512 {
                     break;
                 }
+                continue;
+            };
+            // Front-door rate limit still applies: a hit is nearly free,
+            // so it costs one token, not its byte size.
+            if sched.admit(&req.tenant, 1, now_ns).is_err() {
+                let _ = req.resp_tx.send((STATUS_SHED, Vec::new()));
+                continue;
             }
-            if sched.queued() >= 512 {
-                break;
+            let _ = req.resp_tx.send((status, payload));
+            if let Some((sink, lookup_ns)) = traced {
+                synthetic += 1;
+                let tid = (1u64 << 48) | synthetic;
+                sink.record(Span {
+                    trace_id: tid,
+                    stage: stages::TERMINATE,
+                    start_ns: req.recv_ns,
+                    end_ns: lookup_ns,
+                    bytes: req.wire.len() as u64,
+                });
+                sink.record(Span {
+                    trace_id: tid,
+                    stage: stages::CACHE_HIT,
+                    start_ns: lookup_ns,
+                    end_ns: tracer.now_ns(),
+                    bytes: req.wire.len() as u64,
+                });
+                sink.annotate(
+                    tid,
+                    Some(&req.tenant),
+                    Some(proc_class(req.proc_id)),
+                    Some(Route::Cached.name()),
+                );
             }
         }
         while let Ok(t) = done_rx.try_recv() {
@@ -855,16 +890,7 @@ pub fn poller_loop_cached(
                 Err(e) => return Err(e),
             }
         }
-        client.event_loop(Duration::from_millis(1))?;
-        while let Ok(t) = done_rx.try_recv() {
-            sched.complete(t);
-        }
-        if stop.load(Ordering::Acquire)
-            && pending.is_none()
-            && sched.queued() == 0
-            && client.rpc().outstanding() == 0
-            && rx.is_empty()
-        {
+        if handoff.wait(Some(&mut client), pending.is_none() && sched.queued() == 0)? {
             return Ok(());
         }
     }
@@ -889,6 +915,7 @@ pub fn poller_loop_adaptive(
     mut sched: TenantScheduler<ForwardRequest>,
     mut policy: PolicyEngine,
 ) -> Result<(), RpcError> {
+    let mut handoff = Handoff::new(rx, stop);
     let epoch = Instant::now();
     let (done_tx, done_rx) = unbounded::<usize>();
     // A dispatched request the RDMA client pushed back on, with the
@@ -898,31 +925,7 @@ pub fn poller_loop_adaptive(
         let now_ns = epoch.elapsed().as_nanos() as u64;
         policy.refresh_signals(now_ns);
         // Classify + admit everything the xRPC side has forwarded.
-        loop {
-            match rx.try_recv() {
-                Ok(req) => {
-                    let tenant = req.tenant.clone();
-                    let cost = req.wire.len() as u32;
-                    if let Err((req, _reason)) = sched.offer(&tenant, req, cost, now_ns) {
-                        let _ = req.resp_tx.send((STATUS_SHED, Vec::new()));
-                    }
-                }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    if pending.is_none()
-                        && sched.queued() == 0
-                        && stop.load(Ordering::Acquire)
-                        && client.rpc().outstanding() == 0
-                    {
-                        return Ok(());
-                    }
-                    break;
-                }
-            }
-            if sched.queued() >= 512 {
-                break;
-            }
-        }
+        admit_ready(&mut handoff, &mut sched, now_ns);
         while let Ok(t) = done_rx.try_recv() {
             sched.complete(t);
         }
@@ -1020,16 +1023,7 @@ pub fn poller_loop_adaptive(
                 Err(e) => return Err(e),
             }
         }
-        client.event_loop(Duration::from_millis(1))?;
-        while let Ok(t) = done_rx.try_recv() {
-            sched.complete(t);
-        }
-        if stop.load(Ordering::Acquire)
-            && pending.is_none()
-            && sched.queued() == 0
-            && client.rpc().outstanding() == 0
-            && rx.is_empty()
-        {
+        if handoff.wait(Some(&mut client), pending.is_none() && sched.queued() == 0)? {
             return Ok(());
         }
     }
@@ -1207,6 +1201,7 @@ fn poller_loop_ha(
     tracer: Tracer,
     conn_label: String,
 ) -> Result<(), RpcError> {
+    let mut handoff = Handoff::new(rx, stop);
     let epoch = Instant::now();
     let (done_tx, done_rx) = unbounded::<(u64, usize)>();
     let mut client: Option<OffloadClient> = Some(client);
@@ -1238,31 +1233,7 @@ fn poller_loop_ha(
             }
         }
         // Classify + admit everything the xRPC side has forwarded.
-        loop {
-            match rx.try_recv() {
-                Ok(req) => {
-                    let tenant = req.tenant.clone();
-                    let cost = req.wire.len() as u32;
-                    if let Err((req, _reason)) = sched.offer(&tenant, req, cost, now_ns) {
-                        let _ = req.resp_tx.send((STATUS_SHED, Vec::new()));
-                    }
-                }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    if pending.is_none()
-                        && sched.queued() == 0
-                        && inflight.is_empty()
-                        && stop.load(Ordering::Acquire)
-                    {
-                        return Ok(());
-                    }
-                    break;
-                }
-            }
-            if sched.queued() >= 512 {
-                break;
-            }
-        }
+        admit_ready(&mut handoff, &mut sched, now_ns);
         let mut completed_this_iter: u64 = 0;
         while let Ok((seq, tenant)) = done_rx.try_recv() {
             sched.complete(tenant);
@@ -1405,35 +1376,34 @@ fn poller_loop_ha(
                 Err(e) => return Err(e),
             }
         }
-        if client.is_some() && lease.state() != LeaseState::Dead {
-            let polled = client
-                .as_mut()
-                .expect("checked above")
-                .event_loop(Duration::from_millis(1));
-            match polled {
-                Ok(_) => {}
-                Err(e) if e.is_dpu_death() => {
-                    ha_failover(
-                        &mut lease,
-                        &counters,
-                        &mut client,
-                        &mut pending,
-                        &mut inflight,
-                        &mut sched,
-                        &mut host,
-                        &done_rx,
-                        &trace,
-                        &tracer,
-                        epoch.elapsed().as_nanos() as u64,
-                    );
-                    ramp = None;
-                }
-                Err(e) => return Err(e),
+        // A dead lease has no client to poll (failover dropped it): the
+        // wait then parks on the hand-off channel, so host-direct service
+        // is as prompt as offload; a rejoin client is seen within a bound.
+        let drained = pending.is_none() && sched.queued() == 0 && inflight.is_empty();
+        let live = client
+            .as_mut()
+            .filter(|_| lease.state() != LeaseState::Dead);
+        let exit = match handoff.wait(live, drained) {
+            Ok(exit) => exit,
+            Err(e) if e.is_dpu_death() => {
+                ha_failover(
+                    &mut lease,
+                    &counters,
+                    &mut client,
+                    &mut pending,
+                    &mut inflight,
+                    &mut sched,
+                    &mut host,
+                    &done_rx,
+                    &trace,
+                    &tracer,
+                    epoch.elapsed().as_nanos() as u64,
+                );
+                ramp = None;
+                false
             }
-        } else {
-            // Dead with no rejoin client: nothing to poll, don't spin.
-            std::thread::sleep(Duration::from_micros(200));
-        }
+            Err(e) => return Err(e),
+        };
         while let Ok((seq, tenant)) = done_rx.try_recv() {
             sched.complete(tenant);
             inflight.remove(&seq);
@@ -1491,12 +1461,7 @@ fn poller_loop_ha(
         counters
             .lease_time_in_state
             .set(lease.time_in_state_ns(now_ns) as i64);
-        if stop.load(Ordering::Acquire)
-            && pending.is_none()
-            && sched.queued() == 0
-            && inflight.is_empty()
-            && rx.is_empty()
-        {
+        if exit {
             return Ok(());
         }
     }

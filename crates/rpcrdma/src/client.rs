@@ -380,6 +380,23 @@ impl RpcClient {
         self.unsent.is_some()
     }
 
+    /// True when no completion can be this endpoint's next event: nothing
+    /// awaits a response or an ack, and no block — open, sealed, NACKed
+    /// or held back — awaits a post or a retransmit. An idle poller may
+    /// then block on its request source instead of the completion queue;
+    /// only unsolicited peer traffic (a control record, a heartbeat) can
+    /// still arrive, and a bounded wait covers that.
+    pub fn is_quiescent(&self) -> bool {
+        self.pending.is_empty()
+            && self.sent_blocks.is_empty()
+            && self.unsent.is_none()
+            && self.open_msgs() == 0
+            && self.pending_nacks.is_empty()
+            && self.retransmit_queue.is_empty()
+            && self.awaiting_resp_retransmit.is_none()
+            && self.held_resp_blocks.is_empty()
+    }
+
     /// Receiver-not-ready events observed by this endpoint's sender.
     pub fn rnr_events(&self) -> u64 {
         self.qp.rnr_events()

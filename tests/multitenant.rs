@@ -37,6 +37,8 @@ use std::time::{Duration, Instant};
 /// forward channel (open loop: issuance is decoupled from responses).
 struct ScheduledStack {
     tx: crossbeam::channel::Sender<ForwardRequest>,
+    /// Starts the poller (see [`ScheduledStack::spawn_held`]).
+    go: crossbeam::channel::Sender<()>,
     stop: Arc<AtomicBool>,
     poller: Option<JoinHandle<Result<(), RpcError>>>,
     host_stop: Arc<AtomicBool>,
@@ -45,6 +47,17 @@ struct ScheduledStack {
 
 impl ScheduledStack {
     fn spawn(sched_cfg: SchedConfig, registry: &Arc<Registry>) -> Self {
+        let stack = Self::spawn_held(sched_cfg, registry);
+        stack.release();
+        stack
+    }
+
+    /// [`ScheduledStack::spawn`] with the poller held back until
+    /// [`ScheduledStack::release`]: everything issued before the release
+    /// is in the hand-off channel when the poller first looks. An idle
+    /// poller picks a request up the moment it arrives, so a backlog that
+    /// must be seen whole cannot be built while it runs.
+    fn spawn_held(sched_cfg: SchedConfig, registry: &Arc<Registry>) -> Self {
         let bundle = ServiceSchema::paper_bench();
         let rdma = Fabric::new();
         let adt_bytes = bundle.adt_bytes();
@@ -69,16 +82,23 @@ impl ScheduledStack {
         let (tx, rx) = bounded::<ForwardRequest>(4096);
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = stop.clone();
+        let (go, go_rx) = bounded::<()>(1);
         let poller = std::thread::spawn(move || {
+            let _ = go_rx.recv();
             poller_loop_scheduled(client, rx, ForwardMode::Offload, stop2, None, sched)
         });
         Self {
             tx,
+            go,
             stop,
             poller: Some(poller),
             host_stop,
             host: Some(host),
         }
+    }
+
+    fn release(&self) {
+        let _ = self.go.send(());
     }
 
     /// Issues one request for `tenant`; returns the response slot.
@@ -107,6 +127,7 @@ impl ScheduledStack {
 
 impl Drop for ScheduledStack {
     fn drop(&mut self) {
+        self.release();
         self.stop.store(true, Ordering::Release);
         self.host_stop.store(true, Ordering::Release);
         if let Some(h) = self.poller.take() {
@@ -136,19 +157,21 @@ fn pair_cfg() -> SchedConfig {
 /// light (light last completion ≈ position 1100).
 #[test]
 fn fair_share_end_to_end_under_ten_to_one_backlog() {
-    // Both backlogs fit under the poller's 512-request admission window,
-    // so the whole offered load is visible to the scheduler at once (the
-    // scheduler cannot be fair to traffic still queued in the TCP-side
-    // channel it has never seen).
+    // Both backlogs fit under the poller's 512-request admission window
+    // and are issued before the poller starts, so the whole offered load
+    // is visible to the scheduler at once (the scheduler cannot be fair to
+    // traffic still queued in the TCP-side channel it has never seen, let
+    // alone to traffic that has not arrived).
     const LIGHT: usize = 40;
     const HEAVY: usize = 400;
     let registry = Arc::new(Registry::new());
-    let stack = ScheduledStack::spawn(pair_cfg(), &registry);
+    let stack = ScheduledStack::spawn_held(pair_cfg(), &registry);
     let wire = encode_message(&gen_small(&paper_schema()));
 
     // Adversarial order: the entire heavy backlog lands before light.
     let heavy_rx: Vec<_> = (0..HEAVY).map(|_| stack.issue("heavy", &wire)).collect();
     let light_rx: Vec<_> = (0..LIGHT).map(|_| stack.issue("light", &wire)).collect();
+    stack.release();
 
     // Record the global completion position of every light request.
     let mut pending_light: Vec<_> = light_rx.iter().collect();
