@@ -28,7 +28,7 @@ use pbo_protowire::workloads::{gen_small, paper_schema, Mt19937};
 use pbo_rpcrdma::{establish, Config, RetryClass, RpcError};
 use pbo_simnet::{Fabric, FaultKind, TcpFabric};
 use pbo_trace::Tracer;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -66,7 +66,21 @@ impl ScheduledStack {
         let mut client =
             OffloadClient::new(ep.client, bundle.clone(), ep.control_blob.as_deref()).unwrap();
         let mut server = CompatServer::new(ep.server, PayloadMode::Native);
-        server.register_empty_logic(&bundle, 1);
+        // Every reply carries its position in the host's dispatch order,
+        // stamped where the reply is produced: the connection is in-order,
+        // so that is the order the scheduler served requests in, however
+        // late or in whatever order a test reads its receivers.
+        let served = AtomicU64::new(0);
+        server.register_native(
+            &bundle,
+            1,
+            Arc::new(move |view, out| {
+                let _ = view.meta().size;
+                let position = served.fetch_add(1, Ordering::Relaxed) + 1;
+                out.extend_from_slice(&position.to_le_bytes());
+                0
+            }),
+        );
 
         let host_stop = Arc::new(AtomicBool::new(false));
         let hs = host_stop.clone();
@@ -173,38 +187,22 @@ fn fair_share_end_to_end_under_ten_to_one_backlog() {
     let light_rx: Vec<_> = (0..LIGHT).map(|_| stack.issue("light", &wire)).collect();
     stack.release();
 
-    // Record the global completion position of every light request.
-    let mut pending_light: Vec<_> = light_rx.iter().collect();
-    let mut pending_heavy: Vec<_> = heavy_rx.iter().collect();
-    let mut completed = 0usize;
-    let mut light_positions = Vec::with_capacity(LIGHT);
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while !pending_light.is_empty() || !pending_heavy.is_empty() {
-        assert!(Instant::now() < deadline, "stack wedged");
-        let mut progressed = false;
-        pending_heavy.retain(|rx| match rx.try_recv() {
-            Ok((status, _)) => {
-                assert_eq!(status, 0);
-                completed += 1;
-                progressed = true;
-                false
-            }
-            Err(_) => true,
-        });
-        pending_light.retain(|rx| match rx.try_recv() {
-            Ok((status, _)) => {
-                assert_eq!(status, 0);
-                completed += 1;
-                light_positions.push(completed);
-                progressed = true;
-                false
-            }
-            Err(_) => true,
-        });
-        if !progressed {
-            std::thread::sleep(Duration::from_micros(200));
-        }
-    }
+    // The global completion position of every light request, as stamped
+    // by the host; heavy is drained too so the run is complete.
+    let position = |rx: &Receiver<(u16, Vec<u8>)>| -> usize {
+        let (status, payload) = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("stack wedged");
+        assert_eq!(status, 0);
+        u64::from_le_bytes(payload.as_slice().try_into().expect("8-byte position")) as usize
+    };
+    let light_positions: Vec<usize> = light_rx.iter().map(position).collect();
+    let last = heavy_rx
+        .iter()
+        .map(position)
+        .chain(light_positions.iter().copied())
+        .max();
+    assert_eq!(last, Some(LIGHT + HEAVY));
     stack.shutdown();
 
     // Throughput share while contended: equal weights → ~50% each, so all
