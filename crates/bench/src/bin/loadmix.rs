@@ -20,7 +20,7 @@
 //!
 //! * `--scenario cache` — the DPU response-cache bench: a zipfian
 //!   (s ≈ 1.0) read-heavy key population replayed closed-loop over the
-//!   identical seeded schedule twice — cache on (`poller_loop_cached`
+//!   identical seeded schedule twice — cache on (the `cache` layer
 //!   with the read method declared cachable) and cache off (same loop,
 //!   nothing declared) — with the DPU deserialize throttle making the
 //!   miss path honest. Merges the `"cache"` section of
@@ -44,9 +44,7 @@
 use crossbeam::channel::{bounded, Receiver};
 use pbo_bench::json::Json;
 use pbo_core::compat::PayloadMode;
-use pbo_core::terminator::{
-    poller_loop_adaptive, poller_loop_cached, poller_loop_scheduled, ForwardMode, ForwardRequest,
-};
+use pbo_core::terminator::{run_poller, ForwardMode, ForwardRequest, Layers};
 use pbo_core::{
     CacheConfig, CompatServer, OffloadClient, ResponseCache, SchedConfig, ServiceSchema,
     TenantScheduler, TenantSpec, STATUS_SHED,
@@ -311,7 +309,11 @@ fn run_sched(args: Args) {
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = stop.clone();
     let poller = std::thread::spawn(move || {
-        poller_loop_scheduled(client, rx, ForwardMode::Offload, stop2, None, sched)
+        let layers = Layers {
+            sched: Some(sched),
+            ..Layers::new(ForwardMode::Offload)
+        };
+        run_poller(client, rx, stop2, layers)
     });
 
     // Precompute the open-loop arrival schedule: tenant by offered-load
@@ -773,8 +775,14 @@ fn run_pass(
     let (tx, rx) = bounded::<ForwardRequest>(8192);
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = stop.clone();
-    let poller =
-        std::thread::spawn(move || poller_loop_adaptive(client, rx, stop2, None, sched, policy));
+    let poller = std::thread::spawn(move || {
+        let layers = Layers {
+            sched: Some(sched),
+            policy: Some(policy),
+            ..Layers::new(ForwardMode::Offload)
+        };
+        run_poller(client, rx, stop2, layers)
+    });
 
     // Replay the schedule open-loop.
     let n_classes = classes.len();
@@ -1131,7 +1139,7 @@ fn run_obs_mix(args: Args) {
     tracer.bind_attribution(&engine);
     client.set_tracer(&tracer, "lmobs");
     server.set_tracer(&tracer, "lmobs");
-    let term_sink = tracer.sink("lmobs");
+    let term_tracer = tracer.clone();
 
     let telemetry = Telemetry::new(registry.clone());
     telemetry.attach_tracer(&tracer);
@@ -1169,14 +1177,13 @@ fn run_obs_mix(args: Args) {
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = stop.clone();
     let poller = std::thread::spawn(move || {
-        poller_loop_scheduled(
-            client,
-            rx,
-            ForwardMode::Offload,
-            stop2,
-            Some(term_sink),
-            sched,
-        )
+        let layers = Layers {
+            sched: Some(sched),
+            tracer: term_tracer,
+            conn_label: "lmobs".to_string(),
+            ..Layers::new(ForwardMode::Offload)
+        };
+        run_poller(client, rx, stop2, layers)
     });
 
     // The same seeded open-loop schedule the sched scenario replays.
@@ -1527,7 +1534,6 @@ fn run_cache_arm(
     tracer.bind_attribution(&engine);
     client.set_tracer(&tracer, "lmcache");
     server.set_tracer(&tracer, "lmcache");
-    let term_sink = tracer.sink("lmcache");
 
     let host_stop = Arc::new(AtomicBool::new(false));
     let hs = host_stop.clone();
@@ -1559,16 +1565,14 @@ fn run_cache_arm(
     let cache2 = cache.clone();
     let tracer2 = tracer.clone();
     let poller = std::thread::spawn(move || {
-        poller_loop_cached(
-            client,
-            rx,
-            ForwardMode::Offload,
-            stop2,
-            Some(term_sink),
-            sched,
-            cache2,
-            tracer2,
-        )
+        let layers = Layers {
+            sched: Some(sched),
+            cache: Some(cache2),
+            tracer: tracer2,
+            conn_label: "lmcache".to_string(),
+            ..Layers::new(ForwardMode::Offload)
+        };
+        run_poller(client, rx, stop2, layers)
     });
 
     // Closed-loop replay: one request in flight, so the measurement is

@@ -25,7 +25,7 @@ use pbo_dpusim::CostCoeffs;
 use pbo_metrics::{Counter, Registry};
 use pbo_protowire::{DeserStats, StackDeserializer};
 use pbo_rpcrdma::client::PayloadError;
-use pbo_rpcrdma::server::NativeResponse;
+use pbo_rpcrdma::server::{NativeResponse, Request, ResponseSink};
 use pbo_rpcrdma::{RpcError, RpcServer};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -201,130 +201,37 @@ impl CompatServer {
         handler: NativeMdHandler,
     ) {
         assert_eq!(self.mode, PayloadMode::Native);
-        let adt = bundle.adt().clone();
-        let desc = bundle
-            .request_descriptor(proc_id)
-            .unwrap_or_else(|| panic!("no method with procedure id {proc_id}"))
-            .clone();
-        let class = adt.class_id(&desc.name).expect("validated");
-        let quarantined = self.quarantined.clone();
+        let m = Materializer::new(self, bundle, proc_id);
         let tenant_reg = self.tenant_reg.clone();
         self.rpc.register(
             proc_id,
             Box::new(move |req, sink| {
-                let metadata = if req.metadata.is_empty() {
-                    pbo_grpc::Metadata::new()
-                } else {
-                    match pbo_grpc::Metadata::decode(req.metadata) {
-                        Ok((m, _)) => m,
-                        Err(_) => return 13, // INTERNAL: corrupt metadata
-                    }
+                let Some(metadata) = decode_metadata(req.metadata, &tenant_reg) else {
+                    return STATUS_CORRUPT_METADATA;
                 };
-                count_tenant_dispatch(&tenant_reg, metadata.tenant());
-                match NativeObject::from_addr(
-                    &adt,
-                    class,
-                    req.payload_addr,
-                    req.region_base,
-                    req.region_len,
-                ) {
-                    Ok(view) => {
-                        let mut out = Vec::new();
-                        let status = handler(&metadata, &view, &mut out);
-                        if !out.is_empty() {
-                            sink.write(&out);
-                        }
-                        status
-                    }
-                    Err(_) => {
-                        count_quarantine(&quarantined);
-                        2
-                    }
-                }
+                m.view_in_place(req, sink, |view, out| handler(&metadata, view, out))
             }),
         );
     }
 
     /// Registers a typed handler for `proc_id`. The handler signature is
-    /// identical in both modes; the layer adapts the payload.
+    /// identical in both modes; the layer adapts the payload: the object
+    /// the DPU built is viewed in place, or (baseline) the wire bytes are
+    /// deserialized here with the same algorithm into the same layout.
     pub fn register_native(
         &mut self,
         bundle: &ServiceSchema,
         proc_id: u16,
         handler: NativeHandler,
     ) {
-        let adt = bundle.adt().clone();
-        let desc = bundle
-            .request_descriptor(proc_id)
-            .unwrap_or_else(|| panic!("no method with procedure id {proc_id}"))
-            .clone();
-        let class = adt
-            .class_id(&desc.name)
-            .expect("bundle validated at construction");
-        let schema = bundle.schema().clone();
+        let mut m = Materializer::new(self, bundle, proc_id);
         let mode = self.mode;
-        // Per-handler scratch arena for the baseline's host-side
-        // deserialization; grown on demand, reused across requests (no
-        // steady-state allocation).
-        let mut scratch: Vec<u8> = Vec::new();
-        let quarantined = self.quarantined.clone();
-        let throttle = self.deser_throttle.clone();
-
         self.rpc.register(
             proc_id,
-            Box::new(move |req, sink| {
-                match mode {
-                    PayloadMode::Native => {
-                        // The object was built by the DPU; view it in place.
-                        match NativeObject::from_addr(
-                            &adt,
-                            class,
-                            req.payload_addr,
-                            req.region_base,
-                            req.region_len,
-                        ) {
-                            Ok(view) => {
-                                let mut out = Vec::new();
-                                let status = handler(&view, &mut out);
-                                if !out.is_empty() {
-                                    sink.write(&out);
-                                }
-                                status
-                            }
-                            Err(_) => {
-                                // Malformed object: INVALID_ARGUMENT.
-                                count_quarantine(&quarantined);
-                                2
-                            }
-                        }
-                    }
-                    PayloadMode::Serialized => {
-                        // Baseline: deserialize here, same algorithm, same
-                        // layout, into the local scratch arena.
-                        let t0 = Instant::now();
-                        match host_deserialize(&adt, &schema, &desc, req.payload, &mut scratch) {
-                            Ok((skew, root_offset, stats)) => {
-                                host_throttle(&throttle, t0, &stats);
-                                let view = NativeObject::from_slice(
-                                    &adt,
-                                    class,
-                                    &scratch[skew..],
-                                    root_offset,
-                                )
-                                .expect("just built");
-                                let mut out = Vec::new();
-                                let status = handler(&view, &mut out);
-                                if !out.is_empty() {
-                                    sink.write(&out);
-                                }
-                                status
-                            }
-                            Err(()) => {
-                                count_quarantine(&quarantined);
-                                2
-                            }
-                        }
-                    }
+            Box::new(move |req, sink| match mode {
+                PayloadMode::Native => m.view_in_place(req, sink, |view, out| handler(view, out)),
+                PayloadMode::Serialized => {
+                    m.deserialize_then_view(req.payload, sink, |view, out| handler(view, out))
                 }
             }),
         );
@@ -351,68 +258,14 @@ impl CompatServer {
             PayloadMode::Native,
             "degradable handlers route per request; the server stays native"
         );
-        let adt = bundle.adt().clone();
-        let desc = bundle
-            .request_descriptor(proc_id)
-            .unwrap_or_else(|| panic!("no method with procedure id {proc_id}"))
-            .clone();
-        let class = adt
-            .class_id(&desc.name)
-            .expect("bundle validated at construction");
-        let schema = bundle.schema().clone();
-        let mut scratch: Vec<u8> = Vec::new();
-        let quarantined = self.quarantined.clone();
-        let throttle = self.deser_throttle.clone();
-
+        let mut m = Materializer::new(self, bundle, proc_id);
         self.rpc.register(
             proc_id,
             Box::new(move |req, sink| {
-                let degraded = req.metadata.first().copied() == Some(MODE_SERIALIZED);
-                if degraded {
-                    let t0 = Instant::now();
-                    match host_deserialize(&adt, &schema, &desc, req.payload, &mut scratch) {
-                        Ok((skew, root_offset, stats)) => {
-                            host_throttle(&throttle, t0, &stats);
-                            let view = NativeObject::from_slice(
-                                &adt,
-                                class,
-                                &scratch[skew..],
-                                root_offset,
-                            )
-                            .expect("just built");
-                            let mut out = Vec::new();
-                            let status = handler(&view, &mut out);
-                            if !out.is_empty() {
-                                sink.write(&out);
-                            }
-                            status
-                        }
-                        Err(()) => {
-                            count_quarantine(&quarantined);
-                            2
-                        }
-                    }
+                if req.metadata.first() == Some(&MODE_SERIALIZED) {
+                    m.deserialize_then_view(req.payload, sink, |view, out| handler(view, out))
                 } else {
-                    match NativeObject::from_addr(
-                        &adt,
-                        class,
-                        req.payload_addr,
-                        req.region_base,
-                        req.region_len,
-                    ) {
-                        Ok(view) => {
-                            let mut out = Vec::new();
-                            let status = handler(&view, &mut out);
-                            if !out.is_empty() {
-                                sink.write(&out);
-                            }
-                            status
-                        }
-                        Err(_) => {
-                            count_quarantine(&quarantined);
-                            2
-                        }
-                    }
+                    m.view_in_place(req, sink, |view, out| handler(view, out))
                 }
             }),
         );
@@ -444,79 +297,21 @@ impl CompatServer {
             PayloadMode::Native,
             "route-dispatched handlers decide per request; the server stays native"
         );
-        let adt = bundle.adt().clone();
-        let desc = bundle
-            .request_descriptor(proc_id)
-            .unwrap_or_else(|| panic!("no method with procedure id {proc_id}"))
-            .clone();
-        let class = adt
-            .class_id(&desc.name)
-            .expect("bundle validated at construction");
-        let schema = bundle.schema().clone();
-        let mut scratch: Vec<u8> = Vec::new();
-        let quarantined = self.quarantined.clone();
+        let mut m = Materializer::new(self, bundle, proc_id);
         let tenant_reg = self.tenant_reg.clone();
-        let throttle = self.deser_throttle.clone();
-
         self.rpc.register(
             proc_id,
             Box::new(move |req, sink| {
-                let degraded = req.metadata.first().copied() == Some(MODE_SERIALIZED);
                 let md_tail = req.metadata.get(1..).unwrap_or(&[]);
-                let metadata = if md_tail.is_empty() {
-                    pbo_grpc::Metadata::new()
-                } else {
-                    match pbo_grpc::Metadata::decode(md_tail) {
-                        Ok((m, _)) => m,
-                        Err(_) => return 13, // INTERNAL: corrupt metadata
-                    }
+                let Some(metadata) = decode_metadata(md_tail, &tenant_reg) else {
+                    return STATUS_CORRUPT_METADATA;
                 };
-                count_tenant_dispatch(&tenant_reg, metadata.tenant());
-                if degraded {
-                    let t0 = Instant::now();
-                    match host_deserialize(&adt, &schema, &desc, req.payload, &mut scratch) {
-                        Ok((skew, root_offset, stats)) => {
-                            host_throttle(&throttle, t0, &stats);
-                            let view = NativeObject::from_slice(
-                                &adt,
-                                class,
-                                &scratch[skew..],
-                                root_offset,
-                            )
-                            .expect("just built");
-                            let mut out = Vec::new();
-                            let status = handler(&metadata, &view, &mut out);
-                            if !out.is_empty() {
-                                sink.write(&out);
-                            }
-                            status
-                        }
-                        Err(()) => {
-                            count_quarantine(&quarantined);
-                            2
-                        }
-                    }
+                if req.metadata.first() == Some(&MODE_SERIALIZED) {
+                    m.deserialize_then_view(req.payload, sink, |view, out| {
+                        handler(&metadata, view, out)
+                    })
                 } else {
-                    match NativeObject::from_addr(
-                        &adt,
-                        class,
-                        req.payload_addr,
-                        req.region_base,
-                        req.region_len,
-                    ) {
-                        Ok(view) => {
-                            let mut out = Vec::new();
-                            let status = handler(&metadata, &view, &mut out);
-                            if !out.is_empty() {
-                                sink.write(&out);
-                            }
-                            status
-                        }
-                        Err(_) => {
-                            count_quarantine(&quarantined);
-                            2
-                        }
-                    }
+                    m.view_in_place(req, sink, |view, out| handler(&metadata, view, out))
                 }
             }),
         );
@@ -541,11 +336,7 @@ impl CompatServer {
             PayloadMode::Native,
             "full offload requires native payloads"
         );
-        let adt = bundle.adt().clone();
-        let req_desc = bundle
-            .request_descriptor(proc_id)
-            .unwrap_or_else(|| panic!("no method with procedure id {proc_id}"))
-            .clone();
+        let (adt, _req_desc, req_class) = request_class(bundle, proc_id);
         let resp_desc = bundle
             .response_descriptor(proc_id)
             .expect("validated")
@@ -554,7 +345,6 @@ impl CompatServer {
             .class_by_name(&resp_desc.name)
             .expect("validated")
             .clone();
-        let req_class = adt.class_id(&req_desc.name).expect("validated");
         let schema = bundle.schema().clone();
 
         self.rpc.register_writer(
@@ -616,6 +406,131 @@ impl CompatServer {
     pub fn event_loop(&mut self, timeout: Duration) -> Result<usize, RpcError> {
         self.rpc.event_loop(timeout)
     }
+}
+
+/// gRPC `INTERNAL`: the call metadata section would not decode.
+const STATUS_CORRUPT_METADATA: u16 = 13;
+/// gRPC-side status of a request whose payload would not materialize
+/// (host-side deserialization failure or an unmappable native object).
+const STATUS_UNMATERIALIZED: u16 = 2;
+
+/// Decodes the call metadata section (empty = none) and counts the
+/// dispatch against its tenant; `None` when the bytes are corrupt.
+fn decode_metadata(bytes: &[u8], tenant_reg: &TenantRegistryCell) -> Option<pbo_grpc::Metadata> {
+    let metadata = if bytes.is_empty() {
+        pbo_grpc::Metadata::new()
+    } else {
+        pbo_grpc::Metadata::decode(bytes).ok()?.0
+    };
+    count_tenant_dispatch(tenant_reg, metadata.tenant());
+    Some(metadata)
+}
+
+/// What a typed handler closure owns to turn one request's payload into
+/// the [`NativeObject`] view the business logic reads — the two arms every
+/// `register_*` variant above dispatches between.
+struct Materializer {
+    adt: Arc<pbo_adt::Adt>,
+    schema: Arc<pbo_protowire::Schema>,
+    desc: Arc<pbo_protowire::MessageDescriptor>,
+    class: u32,
+    /// Scratch arena for host-side deserialization; grown on demand,
+    /// reused across requests (no steady-state allocation).
+    scratch: Vec<u8>,
+    quarantined: QuarantineCell,
+    throttle: ThrottleCell,
+}
+
+impl Materializer {
+    /// # Panics
+    /// Panics when `proc_id` is not a method of the bundle.
+    fn new(server: &CompatServer, bundle: &ServiceSchema, proc_id: u16) -> Self {
+        let (adt, desc, class) = request_class(bundle, proc_id);
+        Self {
+            adt,
+            schema: bundle.schema().clone(),
+            desc,
+            class,
+            scratch: Vec::new(),
+            quarantined: server.quarantined.clone(),
+            throttle: server.deser_throttle.clone(),
+        }
+    }
+
+    /// The object was built by the DPU: view it in place. A malformed
+    /// object is quarantined (INVALID_ARGUMENT).
+    fn view_in_place(
+        &self,
+        req: &Request<'_>,
+        sink: &mut ResponseSink,
+        run: impl FnOnce(&NativeObject<'_>, &mut Vec<u8>) -> u16,
+    ) -> u16 {
+        let (base, len) = (req.region_base, req.region_len);
+        match NativeObject::from_addr(&self.adt, self.class, req.payload_addr, base, len) {
+            Ok(view) => respond(sink, |out| run(&view, out)),
+            Err(_) => {
+                count_quarantine(&self.quarantined);
+                STATUS_UNMATERIALIZED
+            }
+        }
+    }
+
+    /// The payload is wire bytes: deserialize here, same algorithm, same
+    /// layout, into the local scratch arena, then view that.
+    fn deserialize_then_view(
+        &mut self,
+        payload: &[u8],
+        sink: &mut ResponseSink,
+        run: impl FnOnce(&NativeObject<'_>, &mut Vec<u8>) -> u16,
+    ) -> u16 {
+        let t0 = Instant::now();
+        let (adt, scratch) = (&self.adt, &mut self.scratch);
+        match host_deserialize(adt, &self.schema, &self.desc, payload, scratch) {
+            Ok((skew, root_offset, stats)) => {
+                host_throttle(&self.throttle, t0, &stats);
+                let view = NativeObject::from_slice(adt, self.class, &scratch[skew..], root_offset)
+                    .expect("just built");
+                respond(sink, |out| run(&view, out))
+            }
+            Err(()) => {
+                count_quarantine(&self.quarantined);
+                STATUS_UNMATERIALIZED
+            }
+        }
+    }
+}
+
+/// Runs the business logic and writes its response bytes, if any.
+fn respond(sink: &mut ResponseSink, run: impl FnOnce(&mut Vec<u8>) -> u16) -> u16 {
+    let mut out = Vec::new();
+    let status = run(&mut out);
+    if !out.is_empty() {
+        sink.write(&out);
+    }
+    status
+}
+
+/// The ADT, request descriptor and native class of one procedure.
+///
+/// # Panics
+/// Panics when `proc_id` is not a method of the bundle.
+fn request_class(
+    bundle: &ServiceSchema,
+    proc_id: u16,
+) -> (
+    Arc<pbo_adt::Adt>,
+    Arc<pbo_protowire::MessageDescriptor>,
+    u32,
+) {
+    let adt = bundle.adt().clone();
+    let desc = bundle
+        .request_descriptor(proc_id)
+        .unwrap_or_else(|| panic!("no method with procedure id {proc_id}"))
+        .clone();
+    let class = adt
+        .class_id(&desc.name)
+        .expect("bundle validated at construction");
+    (adt, desc, class)
 }
 
 /// Host-side deserialization into a reusable scratch arena: same custom
@@ -708,14 +623,7 @@ impl HostDirect {
     /// Panics when `proc_id` is not a method of the bundle (same contract
     /// as [`CompatServer::register_degradable`]).
     pub fn register(&mut self, bundle: &ServiceSchema, proc_id: u16, handler: NativeHandler) {
-        let adt = bundle.adt().clone();
-        let desc = bundle
-            .request_descriptor(proc_id)
-            .unwrap_or_else(|| panic!("no method with procedure id {proc_id}"))
-            .clone();
-        let class = adt
-            .class_id(&desc.name)
-            .expect("bundle validated at construction");
+        let (adt, desc, class) = request_class(bundle, proc_id);
         let schema = bundle.schema().clone();
         let mut scratch: Vec<u8> = Vec::new();
         self.procs.insert(

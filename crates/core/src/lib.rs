@@ -49,6 +49,7 @@ pub mod compat;
 pub mod crashlab;
 pub mod datapath;
 pub mod offload;
+pub mod precedence;
 pub mod serialize;
 pub mod service;
 pub mod session;
@@ -67,4 +68,4 @@ pub use pbo_sched::{SchedConfig, ShedReason, TenantScheduler, TenantSpec, STATUS
 pub use serialize::{serialize_view, SerializeError};
 pub use service::ServiceSchema;
 pub use session::{CircuitBreaker, ResilientSession, SessionConfig, STATUS_QUARANTINED};
-pub use terminator::{ForwardMode, ForwardRequest, HaConfig, XrpcTerminator};
+pub use terminator::{ForwardMode, ForwardRequest, HaConfig, HaLayer, Layers, XrpcTerminator};

@@ -34,11 +34,13 @@ use crate::compat::{
     CompatServer, HostDirect, NativeHandler, PayloadMode, MODE_NATIVE, MODE_SERIALIZED,
 };
 use crate::offload::OffloadClient;
+use crate::precedence::{self, Authority, ReplyStore, Verdict};
 use crate::service::ServiceSchema;
+use crate::terminator::ForwardMode;
 use parking_lot::Mutex;
 use pbo_cache::ResponseCache;
 use pbo_metrics::{Counter, Gauge, Histogram, Registry};
-use pbo_policy::{PolicyEngine, Route};
+use pbo_policy::PolicyEngine;
 use pbo_rpcrdma::client::Continuation;
 use pbo_rpcrdma::{
     try_establish, Config, Heartbeat, JournalEntry, LeaseConfig, LeaseMonitor, LeaseState,
@@ -48,6 +50,7 @@ use pbo_sched::{TenantScheduler, STATUS_SHED};
 use pbo_simnet::Fabric;
 use pbo_trace::{stages, triggers, Clock, FlightRecorder, Span, SpanSink, Tracer};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -170,13 +173,13 @@ impl CircuitBreaker {
 /// ⌈log₂ stride⌉ successes. Probe failures keep the stride where it is —
 /// the host keeps carrying the rest of the traffic either way.
 #[derive(Debug)]
-struct RejoinRamp {
+pub(crate) struct RejoinRamp {
     stride: u32,
     since_probe: u32,
 }
 
 impl RejoinRamp {
-    fn new(stride: u32) -> Self {
+    pub(crate) fn new(stride: u32) -> Self {
         Self {
             stride: stride.max(1),
             since_probe: 0,
@@ -184,7 +187,7 @@ impl RejoinRamp {
     }
 
     /// Whether the next call should probe the DPU datapath.
-    fn probe(&mut self) -> bool {
+    pub(crate) fn probe(&mut self) -> bool {
         if self.stride <= 1 {
             return true;
         }
@@ -199,7 +202,7 @@ impl RejoinRamp {
 
     /// Records a successful probe; returns `true` when the ramp is done
     /// (every call offloads again).
-    fn on_probe_success(&mut self) -> bool {
+    pub(crate) fn on_probe_success(&mut self) -> bool {
         self.stride /= 2;
         self.stride <= 1
     }
@@ -706,104 +709,86 @@ impl ResilientSession {
         wire: &[u8],
         cont: Continuation,
     ) -> Result<u64, RpcError> {
-        // Lease precedence: whole-DPU liveness overrides every other
-        // routing authority. A dead device makes breaker and policy state
-        // moot — there is no offload path to degrade or steer.
+        // Routing precedence (`crate::precedence`, DESIGN.md §13): lease,
+        // then breaker and cache, then policy. A dead device makes breaker
+        // and policy state moot — there is no offload path to degrade or
+        // steer.
         self.poll_lease();
-        match self.lease.state() {
-            LeaseState::Dead => return self.call_host_direct(proc_id, wire, cont),
-            LeaseState::Rejoining => return self.call_rejoining(proc_id, wire, cont),
-            LeaseState::Live | LeaseState::Suspect => {}
-        }
-        // DPU response cache, consulted only while the offload path is
-        // authoritative (lease Live/Suspect above, breaker closed). A
-        // hit answers without touching the breaker, the policy's cost
+        let lease = self.lease.state();
+        let breaker_open = self.breaker.is_open();
+        let now_ns = self.sched_epoch.elapsed().as_nanos() as u64;
+        // A hit answers without touching the breaker, the policy's cost
         // estimates, the journal, or the wire — exactly the stages it
         // exists to skip — and is attributed to the cached route.
-        if !self.breaker.is_open() {
-            if let Some(cache) = &self.cache {
-                let now_ns = self.sched_epoch.elapsed().as_nanos() as u64;
-                if let Some((status, payload)) = cache.lookup(tenant, proc_id, wire, now_ns) {
-                    let seq = self.next_seq;
-                    self.next_seq += 1;
-                    if let Some(policy) = &mut self.policy {
-                        policy.note_cached(proc_id, now_ns);
-                    }
-                    if let Some((t, sink)) = &self.trace {
-                        let t_ns = t.now_ns();
-                        sink.record(Span {
-                            trace_id: seq,
-                            stage: stages::CACHE_HIT,
-                            start_ns: t_ns,
-                            end_ns: t_ns,
-                            bytes: wire.len() as u64,
-                        });
-                    }
-                    cont(&payload, status);
-                    return Ok(seq);
+        if let Some(cache) = self
+            .cache
+            .as_ref()
+            .filter(|_| precedence::may_lookup(lease, breaker_open))
+        {
+            if let Some((status, payload)) = cache.lookup(tenant, proc_id, wire, now_ns) {
+                let seq = self.next_seq;
+                self.next_seq += 1;
+                if let Some(policy) = &mut self.policy {
+                    policy.note_cached(proc_id, now_ns);
                 }
+                if let Some((t, sink)) = &self.trace {
+                    let t_ns = t.now_ns();
+                    sink.record(Span {
+                        trace_id: seq,
+                        stage: stages::CACHE_HIT,
+                        start_ns: t_ns,
+                        end_ns: t_ns,
+                        bytes: wire.len() as u64,
+                    });
+                }
+                cont(&payload, status);
+                return Ok(seq);
             }
         }
-        // Populate-on-miss wrapper: armed only after the call commits to
-        // the native route with the breaker closed (see `store_armed`
-        // below); the epoch captured here makes any store that races a
-        // flush (breaker trip, failover, replay) a no-op.
-        let store_armed = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let cont: Continuation = match &self.cache {
-            Some(cache) if cache.is_cachable(proc_id) => {
-                let cache = cache.clone();
-                let cache_epoch = cache.epoch();
-                let tenant = tenant.to_string();
-                let wire_copy = wire.to_vec();
-                let epoch_inst = self.sched_epoch;
-                let armed = store_armed.clone();
-                let trace = self.trace.clone();
-                let seq_id = self.next_seq;
+        let (ramp, breaker, policy) = (&mut self.ramp, &mut self.breaker, &mut self.policy);
+        let mut verdict = precedence::route(
+            lease,
+            breaker_open,
+            ForwardMode::Offload,
+            || ramp.as_mut().is_some_and(|r| r.probe()),
+            || breaker.route_native(),
+            || Some(policy.as_mut()?.route(proc_id, now_ns).route),
+        );
+        // Breaker-forced host routing is a *fault* response, distinct
+        // from the policy's *cost* decision: only the former counts as
+        // degraded and only the latter touches the policy metrics.
+        match verdict.by {
+            Authority::Lease => return self.call_host_direct(proc_id, wire, cont),
+            Authority::BreakerProbe => self.counters.breaker_probes.inc(),
+            Authority::Breaker => self.counters.degraded_calls.inc(),
+            // A ramp probe rides the native path like any other call; its
+            // results feed the breaker so that state is consistent when
+            // Live resumes.
+            Authority::Ramp | Authority::Policy | Authority::Mode => {}
+        }
+        // Populate-on-miss wrapper, for routes whose reply may be stored;
+        // armed only once the call has committed to that route (an
+        // after-the-fact degrade disarms it, see `store_armed` below).
+        let store_armed = Arc::new(AtomicBool::new(false));
+        let store = self.cache.as_ref().filter(|_| verdict.may_store());
+        let store = store.and_then(|cache| ReplyStore::arm(cache, tenant, proc_id, wire));
+        let cont: Continuation = match store {
+            Some(store) => {
+                let store = store.traced(self.trace.clone(), self.next_seq);
+                let (armed, epoch) = (store_armed.clone(), self.sched_epoch);
                 Box::new(move |payload, status| {
-                    if status == 0 && armed.load(std::sync::atomic::Ordering::Relaxed) {
-                        let now = epoch_inst.elapsed().as_nanos() as u64;
-                        if cache.store(&tenant, proc_id, &wire_copy, payload, now, cache_epoch)
-                            == pbo_cache::StoreOutcome::Stored
-                        {
-                            if let Some((t, sink)) = &trace {
-                                let t_ns = t.now_ns();
-                                sink.record(Span {
-                                    trace_id: seq_id,
-                                    stage: stages::CACHE_STORE,
-                                    start_ns: t_ns,
-                                    end_ns: t_ns,
-                                    bytes: payload.len() as u64,
-                                });
-                            }
-                        }
+                    if armed.load(Ordering::Relaxed) {
+                        store.on_reply(status, payload, epoch.elapsed().as_nanos() as u64);
                     }
                     cont(payload, status);
                 })
             }
-            _ => cont,
+            None => cont,
         };
         let seq = self.next_seq;
         let slot: SharedCont = Arc::new(Mutex::new(Some(cont)));
         let start_ns = self.trace.as_ref().map(|(t, _)| t.now_ns());
-        let breaker_open = self.breaker.is_open();
-        let mut native = self.breaker.route_native();
-        // Breaker-forced host routing is a *fault* response, distinct
-        // from the policy's *cost* decision: only the former counts as
-        // degraded and only the latter touches the policy metrics.
-        let mut breaker_degraded = false;
-        if breaker_open {
-            if native {
-                self.counters.breaker_probes.inc();
-            } else {
-                self.counters.degraded_calls.inc();
-                breaker_degraded = true;
-            }
-        } else if let Some(policy) = &mut self.policy {
-            let now_ns = self.sched_epoch.elapsed().as_nanos() as u64;
-            if policy.route(proc_id, now_ns).route == Route::Host {
-                native = false;
-            }
-        }
+        let mut native = verdict.fabric == Some(ForwardMode::Offload);
         let mut result = self.enqueue_once(native, proc_id, wire, seq, &slot);
         if native {
             match &result {
@@ -856,17 +841,21 @@ impl ResilientSession {
                         // A tripping breaker means the native path is
                         // misbehaving: drop every cached response it
                         // produced and invalidate in-flight stores.
-                        if let Some(cache) = &self.cache {
-                            cache.flush();
-                        }
+                        precedence::flush_on_fault(self.cache.as_ref());
                         if let Some((t, f)) = &self.flight {
                             let now = t.now_ns();
                             f.record_mark(seq, triggers::BREAKER_OPEN, now, wire.len() as u64);
                             f.trigger(triggers::BREAKER_OPEN, now);
                         }
                     }
+                    if verdict.by == Authority::Ramp {
+                        // A failed probe is served host-side and leaves the
+                        // ramp where it is.
+                        let cont = slot.lock().take().expect("continuation unused on Err");
+                        return self.call_host_direct(proc_id, wire, cont);
+                    }
+                    verdict = Verdict::DEGRADED;
                     native = false;
-                    breaker_degraded = true;
                     self.counters.degraded_calls.inc();
                     result = self.enqueue_once(false, proc_id, wire, seq, &slot);
                 }
@@ -885,11 +874,16 @@ impl ResilientSession {
             }
             // A reconnect-class failure during enqueue: recover the
             // connection and try this request once more (it is not yet
-            // journaled, so the replay does not cover it).
+            // journaled, so the replay does not cover it). Mid-ramp, a
+            // rebuilt connection that wedges fails the rejoin instead.
             if e.retry_class() != RetryClass::Reconnect {
                 return Err(e);
             }
-            self.reconnect()?;
+            if verdict.by == Authority::Ramp {
+                self.enter_dead();
+            } else {
+                self.reconnect()?;
+            }
             if matches!(self.lease.state(), LeaseState::Dead | LeaseState::Rejoining) {
                 // The reconnect collapsed into a failover (device gone).
                 let cont = slot.lock().take().expect("continuation unused on Err");
@@ -897,7 +891,7 @@ impl ResilientSession {
             }
             self.enqueue_once(native, proc_id, wire, seq, &slot)?;
         }
-        if breaker_degraded {
+        if verdict.by == Authority::Breaker {
             // Only breaker-forced host routing is "degraded"; a class
             // the policy routed to host is operating as intended and
             // gets policy metrics/spans instead.
@@ -911,13 +905,9 @@ impl ResilientSession {
                 });
             }
         }
-        // Commit the cachability decision: only native-route responses
-        // issued with the breaker closed may populate the cache —
-        // breaker-degraded (host-deserialize) responses never do.
-        store_armed.store(
-            native && !breaker_degraded,
-            std::sync::atomic::Ordering::Relaxed,
-        );
+        // Commit the cachability decision: breaker-degraded and
+        // policy-routed (host-deserialize) responses never populate.
+        store_armed.store(verdict.may_store(), Ordering::Relaxed);
         self.journal.record(JournalEntry {
             seq,
             proc_id,
@@ -930,6 +920,12 @@ impl ResilientSession {
         let depth = self.journal.len() as i64;
         self.counters.journal_depth.set(depth);
         self.counters.journal_depth_peak.set_max(depth);
+        // An accepted probe is real forward progress on the rebuilt
+        // datapath: it halves the ramp stride.
+        if verdict.by == Authority::Ramp && self.ramp.as_mut().is_some_and(|r| r.on_probe_success())
+        {
+            self.complete_rejoin();
+        }
         Ok(seq)
     }
 
@@ -1085,9 +1081,7 @@ impl ResilientSession {
         // every store wrapper issued before this failover stale, so
         // replayed (host-served) responses can never repopulate the
         // cache — the no-double-populate rule.
-        if let Some(cache) = &self.cache {
-            cache.flush();
-        }
+        precedence::flush_on_fault(self.cache.as_ref());
         if self.death_at_ns.is_none() {
             // First death of this outage (a crash mid-rejoin keeps the
             // original death time so MTTR spans the whole outage).
@@ -1182,9 +1176,9 @@ impl ResilientSession {
         }
     }
 
-    /// One call served entirely host-side (lease Dead, or the non-probe
-    /// share of a rejoin ramp). Answered synchronously: no journal entry,
-    /// no slot — exactly-once is trivial.
+    /// One call served entirely host-side (lease Dead, the non-probe share
+    /// of a rejoin ramp, or a probe that failed). Answered synchronously:
+    /// no journal entry, no slot — exactly-once is trivial.
     fn call_host_direct(
         &mut self,
         proc_id: u16,
@@ -1198,85 +1192,6 @@ impl ResilientSession {
         self.next_seq += 1;
         self.dispatch_host(proc_id, wire, cont);
         Ok(seq)
-    }
-
-    /// One call during the rejoin ramp: every `stride`-th probes the
-    /// rebuilt DPU datapath, the rest stay host-direct. Probe results
-    /// feed the breaker so its state is consistent when Live resumes.
-    fn call_rejoining(
-        &mut self,
-        proc_id: u16,
-        wire: &[u8],
-        cont: Continuation,
-    ) -> Result<u64, RpcError> {
-        let probe = match &mut self.ramp {
-            Some(r) => r.probe(),
-            None => false,
-        };
-        if !probe {
-            return self.call_host_direct(proc_id, wire, cont);
-        }
-        let seq = self.next_seq;
-        let slot: SharedCont = Arc::new(Mutex::new(Some(cont)));
-        match self.enqueue_once(true, proc_id, wire, seq, &slot) {
-            Ok(()) => {
-                // The DPU deserialized and accepted the block: real
-                // forward progress on the rebuilt datapath.
-                if self.breaker.on_success() {
-                    self.counters.breaker_restores.inc();
-                    self.counters.breaker_open.set(0);
-                }
-                self.journal.record(JournalEntry {
-                    seq,
-                    proc_id,
-                    payload: wire.to_vec(),
-                    metadata: vec![MODE_NATIVE],
-                });
-                self.slots.insert(seq, slot);
-                self.issued_at.insert(seq, Instant::now());
-                self.next_seq += 1;
-                let done = self.ramp.as_mut().is_some_and(|r| r.on_probe_success());
-                if done {
-                    self.complete_rejoin();
-                }
-                Ok(seq)
-            }
-            Err(RpcError::Quarantined(_)) => {
-                self.counters.quarantined.inc();
-                if let Some(cont) = slot.lock().take() {
-                    cont(&[], STATUS_QUARANTINED);
-                }
-                self.next_seq += 1;
-                Ok(seq)
-            }
-            Err(RpcError::PayloadWriter(_)) => {
-                // Probe failed in DPU deserialization: feed the breaker,
-                // serve the request host-side, keep the ramp where it is.
-                if self.breaker.on_failure() {
-                    self.counters.breaker_trips.inc();
-                    self.counters.breaker_open.set(1);
-                    if let Some(cache) = &self.cache {
-                        cache.flush();
-                    }
-                }
-                let cont = slot.lock().take().expect("continuation unused on Err");
-                self.call_host_direct(proc_id, wire, cont)
-            }
-            Err(e) if e.is_dpu_death() => {
-                // The device died again mid-ramp.
-                self.enter_dead();
-                let cont = slot.lock().take().expect("continuation unused on Err");
-                self.call_host_direct(proc_id, wire, cont)
-            }
-            Err(e) if e.retry_class() == RetryClass::Reconnect => {
-                // The rebuilt connection wedged before the ramp finished:
-                // treat the rejoin as failed and return to host-only.
-                self.enter_dead();
-                let cont = slot.lock().take().expect("continuation unused on Err");
-                self.call_host_direct(proc_id, wire, cont)
-            }
-            Err(e) => Err(e),
-        }
     }
 
     /// Starts a warm rejoin: re-establishes the connection (the ADT

@@ -10,17 +10,27 @@
 //! (§III.C: one poller per connection). Instead they hand requests to the
 //! poller thread over a channel and block on a per-call response slot —
 //! the many-to-one-to-one model of §III.C.
+//!
+//! There is one poll loop (`Poller`). What it does beyond moving
+//! requests into the RDMA client is decided by the optional layers of a
+//! [`Layers`] value, and an absent layer costs nothing: no scheduler
+//! means a plain FIFO backlog, neither scheduler nor failure domain means
+//! no completion channel, no failure domain means no journal. Routing
+//! between the layers follows [`crate::precedence`].
 
 use crate::compat::{routed_metadata, HostDirect, MODE_NATIVE, MODE_SERIALIZED};
 use crate::offload::OffloadClient;
+use crate::precedence::{self, Authority, ReplyStore, Verdict};
+use crate::session::{RejoinRamp, STATUS_QUARANTINED};
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use pbo_cache::ResponseCache;
 use pbo_grpc::{spawn_server, ServerHandle, ServiceRegistry};
 use pbo_metrics::{Counter, Gauge, Registry};
 use pbo_policy::{PolicyEngine, Route};
+use pbo_rpcrdma::client::Continuation;
 use pbo_rpcrdma::{Heartbeat, LeaseConfig, LeaseMonitor, LeaseState, RpcError};
-use pbo_sched::{Scheduled, TenantScheduler, STATUS_SHED};
-use pbo_simnet::TcpFabric;
+use pbo_sched::{TenantScheduler, STATUS_SHED};
+use pbo_simnet::{QpError, TcpFabric};
 use pbo_trace::{stages, Span, SpanSink, Tracer};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -37,21 +47,21 @@ pub enum ForwardMode {
 }
 
 impl ForwardMode {
-    /// Route label for tail-latency attribution; matches
-    /// [`pbo_policy::Route::name`] so fixed-mode and adaptive runs
-    /// aggregate under the same vocabulary.
+    /// Route label for tail-latency attribution: the
+    /// [`pbo_policy::Route::name`] of the route this mode fixes, so
+    /// fixed-mode and adaptive runs aggregate under the same vocabulary.
     pub fn route_label(self) -> &'static str {
         match self {
-            ForwardMode::Offload => "dpu",
-            ForwardMode::Forward => "host",
+            ForwardMode::Offload => Route::Dpu.name(),
+            ForwardMode::Forward => Route::Host.name(),
         }
     }
 }
 
-/// Static class label for a procedure id, used by the pollers that have
-/// no policy engine (and therefore no registered class names) so
-/// attribution still gets a bounded class dimension without a per-request
-/// allocation on the dispatch path.
+/// Static class label for a procedure id, used when no policy engine (and
+/// therefore no registered class name) is installed, so attribution still
+/// gets a bounded class dimension without a per-request allocation on the
+/// dispatch path.
 fn proc_class(proc_id: u16) -> &'static str {
     const LABELS: [&str; 9] = [
         "proc0", "proc1", "proc2", "proc3", "proc4", "proc5", "proc6", "proc7", "proc8",
@@ -78,18 +88,10 @@ pub struct ForwardRequest {
 }
 
 /// Builds the gRPC-side registry whose handlers forward into the poller
-/// channel. One handler per service method.
+/// channel. One handler per service method. With an enabled `tracer` each
+/// forwarded request is stamped with the receive time so the poller can
+/// emit a `terminate` span (xRPC frame in → handed to the RDMA datapath).
 pub fn forwarding_registry(
-    bundle: &crate::service::ServiceSchema,
-    tx: Sender<ForwardRequest>,
-) -> ServiceRegistry {
-    forwarding_registry_traced(bundle, tx, &Tracer::disabled())
-}
-
-/// [`forwarding_registry`] with a tracer: each forwarded request is
-/// stamped with the receive time so the poller can emit a `terminate`
-/// span (xRPC frame in → handed to the RDMA datapath).
-pub fn forwarding_registry_traced(
     bundle: &crate::service::ServiceSchema,
     tx: Sender<ForwardRequest>,
     tracer: &Tracer,
@@ -140,6 +142,85 @@ pub fn forwarding_registry_traced(
     registry
 }
 
+/// Failure-domain knobs of [`HaLayer`].
+#[derive(Clone, Debug)]
+pub struct HaConfig {
+    /// Liveness lease on the DPU datapath: renewed every iteration that
+    /// makes progress, Suspect past one interval, Dead past
+    /// `interval × miss_threshold`.
+    pub lease: LeaseConfig,
+    /// During rejoin, every Nth request probes the DPU path (stride
+    /// halves per accepted probe; `<= 1` completes the rejoin).
+    pub rejoin_probe_stride: u32,
+}
+
+/// The whole-DPU failure domain as a terminator layer (DESIGN.md §13). A
+/// lease monitor watches the RDMA datapath for loud deaths (transport
+/// errors classified as device deaths) and silent wedges (requests
+/// outstanding past the lease deadline, a rejoin ramp's probes included).
+/// On death the poller fails over to `host`: in-flight requests are
+/// replayed there in submission order, held and queued scheduler grants
+/// drain into it with per-tenant accounting preserved, and later requests
+/// are served host-direct, so the xRPC listener never goes dark.
+pub struct HaLayer {
+    /// The host-only datapath: the compat server's business logic without
+    /// the fabric.
+    pub host: HostDirect,
+    /// Warm rejoin: a restarted DPU's freshly established client (ADT
+    /// re-shipped, digests re-verified) arrives here; the poller wires it
+    /// up and ramps offload back.
+    pub rejoin_rx: Receiver<OffloadClient>,
+    /// Lease and ramp knobs.
+    pub config: HaConfig,
+    /// Where the `terminator_*` recovery counters and lease gauges are
+    /// registered, labeled `conn={conn_label}`.
+    pub registry: Arc<Registry>,
+}
+
+/// What one terminator is composed of (DESIGN.md §13, "Terminator
+/// composition"). `mode` and the tracing pair are always present; every
+/// other layer is optional and independent of the rest, so any subset
+/// runs on one poller.
+pub struct Layers {
+    /// The connection's configured route.
+    pub mode: ForwardMode,
+    /// Per-tenant admission control (shed requests answer [`STATUS_SHED`])
+    /// and credit-gated WDRR dispatch, in place of the FIFO backlog.
+    pub sched: Option<TenantScheduler<ForwardRequest>>,
+    /// Per-class choice between DPU- and host-deserialization, fed by the
+    /// work-unit counts of DPU-side deserializations. The route's mode
+    /// byte leads the forwarded metadata ([`routed_metadata`]): register
+    /// host handlers with [`crate::CompatServer::register_degradable_md`].
+    pub policy: Option<PolicyEngine>,
+    /// Declared-cacheable classes are answered at intake (a hit still
+    /// pays one cost-1 admission token); native status-0 replies populate
+    /// it; the host's `CACHE_INVALIDATE` records are applied first.
+    pub cache: Option<ResponseCache>,
+    /// DPU failure domain.
+    pub ha: Option<HaLayer>,
+    /// Span source; disabled = no tracing.
+    pub tracer: Tracer,
+    /// Connection label: spans land on the `{conn_label}/client` track
+    /// (use the label the host side traces under), metrics carry it as
+    /// `conn`.
+    pub conn_label: String,
+}
+
+impl Layers {
+    /// The bare terminator: fixed `mode`, FIFO backlog, no tracing.
+    pub fn new(mode: ForwardMode) -> Self {
+        Self {
+            mode,
+            sched: None,
+            policy: None,
+            cache: None,
+            ha: None,
+            tracer: Tracer::disabled(),
+            conn_label: String::new(),
+        }
+    }
+}
+
 /// The running terminator: the xRPC listener plus the RPC-over-RDMA
 /// poller thread.
 pub struct XrpcTerminator {
@@ -150,225 +231,29 @@ pub struct XrpcTerminator {
 
 impl XrpcTerminator {
     /// Binds the xRPC server at `addr` on `fabric` and starts the poller
-    /// thread that owns `client`.
-    pub fn spawn(fabric: &TcpFabric, addr: &str, client: OffloadClient, mode: ForwardMode) -> Self {
-        Self::spawn_traced(fabric, addr, client, mode, &Tracer::disabled(), addr)
-    }
-
-    /// [`XrpcTerminator::spawn`] with tracing wired end to end: attaches
-    /// `tracer` to the offload client (transport + deserialize spans) and
-    /// emits `terminate` spans for sampled requests on the
-    /// `{conn_label}/client` track.
-    pub fn spawn_traced(
+    /// thread that owns `client`, composed of `layers`. Wires the layers
+    /// to the client first: the tracer (the client's and the policy's
+    /// spans under `conn_label`) and the scheduler's fabric-window
+    /// observer, so credit borrowing tracks real block-credit consumption.
+    pub fn spawn(
         fabric: &TcpFabric,
         addr: &str,
         mut client: OffloadClient,
-        mode: ForwardMode,
-        tracer: &Tracer,
-        conn_label: &str,
+        mut layers: Layers,
     ) -> Self {
-        client.set_tracer(tracer, conn_label);
-        let (tx, rx) = bounded::<ForwardRequest>(4096);
-        let registry = forwarding_registry_traced(client.bundle(), tx, tracer);
-        let listener = fabric.bind(addr);
-        let grpc = spawn_server(listener, registry);
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
-        let trace = tracer
-            .is_enabled()
-            .then(|| tracer.sink(&format!("{conn_label}/client")));
-        let poller = std::thread::spawn(move || poller_loop_traced(client, rx, mode, stop2, trace));
-        Self {
-            grpc,
-            poller: Some(poller),
-            stop,
+        client.set_tracer(&layers.tracer, &layers.conn_label);
+        if let Some(sched) = &layers.sched {
+            client.rpc().set_credit_observer(sched.fabric());
         }
-    }
-
-    /// [`XrpcTerminator::spawn_traced`] with a tenant scheduler in the
-    /// path: requests classified by their `tenant` metadata go through
-    /// admission control and WDRR dispatch before touching the RDMA
-    /// datapath, and the scheduler's fabric-window observer is installed
-    /// on the offload client so credit borrowing tracks real block-credit
-    /// consumption.
-    pub fn spawn_scheduled(
-        fabric: &TcpFabric,
-        addr: &str,
-        mut client: OffloadClient,
-        mode: ForwardMode,
-        sched: TenantScheduler<ForwardRequest>,
-        tracer: &Tracer,
-        conn_label: &str,
-    ) -> Self {
-        client.set_tracer(tracer, conn_label);
-        client.rpc().set_credit_observer(sched.fabric());
-        let (tx, rx) = bounded::<ForwardRequest>(4096);
-        let registry = forwarding_registry_traced(client.bundle(), tx, tracer);
-        let listener = fabric.bind(addr);
-        let grpc = spawn_server(listener, registry);
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
-        let trace = tracer
-            .is_enabled()
-            .then(|| tracer.sink(&format!("{conn_label}/client")));
-        let poller = std::thread::spawn(move || {
-            poller_loop_scheduled(client, rx, mode, stop2, trace, sched)
-        });
-        Self {
-            grpc,
-            poller: Some(poller),
-            stop,
+        if let Some(policy) = &mut layers.policy {
+            policy.set_tracer(&layers.tracer, &layers.conn_label);
         }
-    }
-
-    /// [`XrpcTerminator::spawn_scheduled`] with the adaptive per-class
-    /// offload policy in the dispatch path: instead of one static
-    /// [`ForwardMode`] for the whole run, every request consults
-    /// `policy` for its message class and routes DPU-deserialize
-    /// ([`MODE_NATIVE`]) or host-deserialize ([`MODE_SERIALIZED`])
-    /// accordingly, with the mode byte prefixed to the forwarded
-    /// metadata so [`crate::CompatServer::register_degradable_md`]
-    /// handlers dispatch per request. DPU-side deserializations feed
-    /// their real work-unit counts back into the policy's cost
-    /// estimates, and the control loop's telemetry signals are
-    /// refreshed every poller iteration.
-    ///
-    /// The policy's tracer is wired to `{conn_label}/policy` so route
-    /// flips land on the same timeline as the datapath spans.
-    #[allow(clippy::too_many_arguments)]
-    pub fn spawn_adaptive(
-        fabric: &TcpFabric,
-        addr: &str,
-        mut client: OffloadClient,
-        sched: TenantScheduler<ForwardRequest>,
-        mut policy: PolicyEngine,
-        tracer: &Tracer,
-        conn_label: &str,
-    ) -> Self {
-        client.set_tracer(tracer, conn_label);
-        client.rpc().set_credit_observer(sched.fabric());
-        policy.set_tracer(tracer, conn_label);
-        let (tx, rx) = bounded::<ForwardRequest>(4096);
-        let registry = forwarding_registry_traced(client.bundle(), tx, tracer);
-        let listener = fabric.bind(addr);
-        let grpc = spawn_server(listener, registry);
+        let (tx, rx) = bounded::<ForwardRequest>(HANDOFF_DEPTH);
+        let registry = forwarding_registry(client.bundle(), tx, &layers.tracer);
+        let grpc = spawn_server(fabric.bind(addr), registry);
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = stop.clone();
-        let trace = tracer
-            .is_enabled()
-            .then(|| tracer.sink(&format!("{conn_label}/client")));
-        let poller = std::thread::spawn(move || {
-            poller_loop_adaptive(client, rx, stop2, trace, sched, policy)
-        });
-        Self {
-            grpc,
-            poller: Some(poller),
-            stop,
-        }
-    }
-
-    /// [`XrpcTerminator::spawn_scheduled`] with whole-DPU failure
-    /// handling: a lease monitor watches the RDMA datapath for both loud
-    /// deaths (transport errors classified as device deaths) and silent
-    /// wedges (outstanding requests with no completions past the lease
-    /// deadline). On death the terminator fails over to a host-only
-    /// datapath — in-flight requests are replayed through `host`
-    /// ([`HostDirect`], the same business logic the compat server runs),
-    /// queued scheduler grants drain into the host path with per-tenant
-    /// accounting preserved, and every subsequent request is served
-    /// host-direct so the xRPC listener never goes dark.
-    ///
-    /// Warm rejoin: when a restarted DPU comes back, hand a freshly
-    /// established [`OffloadClient`] (new `establish` re-ships the ADT
-    /// and re-verifies digests) through `rejoin_rx`. The poller attaches
-    /// it to the scheduler's credit window (sub-pools re-sync against
-    /// the reset fabric window) and ramps offload back: every
-    /// `ha.rejoin_probe_stride`-th grant probes the DPU path, the stride
-    /// halving per accepted probe until full offload resumes.
-    ///
-    /// Recovery events are exported as `terminator_failovers_total`,
-    /// `terminator_rejoins_total`, `terminator_replayed_requests_total`,
-    /// `terminator_host_served_total`, and the `terminator_lease_state` /
-    /// `terminator_lease_time_in_state_ns` gauges, all labeled
-    /// `conn={conn_label}`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn spawn_ha(
-        fabric: &TcpFabric,
-        addr: &str,
-        mut client: OffloadClient,
-        mode: ForwardMode,
-        sched: TenantScheduler<ForwardRequest>,
-        host: HostDirect,
-        rejoin_rx: Receiver<OffloadClient>,
-        ha: HaConfig,
-        registry: &Registry,
-        tracer: &Tracer,
-        conn_label: &str,
-    ) -> Self {
-        client.set_tracer(tracer, conn_label);
-        client.rpc().set_credit_observer(sched.fabric());
-        let (tx, rx) = bounded::<ForwardRequest>(4096);
-        let grpc_registry = forwarding_registry_traced(client.bundle(), tx, tracer);
-        let listener = fabric.bind(addr);
-        let grpc = spawn_server(listener, grpc_registry);
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
-        let trace = tracer
-            .is_enabled()
-            .then(|| tracer.sink(&format!("{conn_label}/client")));
-        let counters = HaCounters::bind(registry, conn_label);
-        let tracer = tracer.clone();
-        let label = conn_label.to_string();
-        let poller = std::thread::spawn(move || {
-            poller_loop_ha(
-                client, rx, mode, stop2, trace, sched, host, rejoin_rx, ha, counters, tracer, label,
-            )
-        });
-        Self {
-            grpc,
-            poller: Some(poller),
-            stop,
-        }
-    }
-
-    /// [`XrpcTerminator::spawn_scheduled`] with the DPU response cache in
-    /// front of the scheduler: every forwarded request of a declared-
-    /// cachable class consults `cache` before admission. A hit
-    /// short-circuits the entire datapath — no deserialize, no block
-    /// build, no credit wait, no DMA, no host dispatch — and synthesizes
-    /// the response on the DPU; it still consumes one cheap admission
-    /// token (cost 1) from the tenant's bucket so per-tenant rate limits
-    /// keep meaning something at the front door (see DESIGN.md §15).
-    /// Misses take the normal scheduled path and, when the native route
-    /// answers with status 0, populate the cache on completion.
-    /// `CACHE_INVALIDATE` control messages from the host are drained
-    /// every poller iteration into [`pbo_cache::ResponseCache::invalidate_class`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn spawn_cached(
-        fabric: &TcpFabric,
-        addr: &str,
-        mut client: OffloadClient,
-        mode: ForwardMode,
-        sched: TenantScheduler<ForwardRequest>,
-        cache: ResponseCache,
-        tracer: &Tracer,
-        conn_label: &str,
-    ) -> Self {
-        client.set_tracer(tracer, conn_label);
-        client.rpc().set_credit_observer(sched.fabric());
-        let (tx, rx) = bounded::<ForwardRequest>(4096);
-        let registry = forwarding_registry_traced(client.bundle(), tx, tracer);
-        let listener = fabric.bind(addr);
-        let grpc = spawn_server(listener, registry);
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
-        let trace = tracer
-            .is_enabled()
-            .then(|| tracer.sink(&format!("{conn_label}/client")));
-        let tracer = tracer.clone();
-        let poller = std::thread::spawn(move || {
-            poller_loop_cached(client, rx, mode, stop2, trace, sched, cache, tracer)
-        });
+        let poller = std::thread::spawn(move || run_poller(client, rx, stop2, layers));
         Self {
             grpc,
             poller: Some(poller),
@@ -385,10 +270,8 @@ impl XrpcTerminator {
     pub fn shutdown(mut self) -> Result<(), RpcError> {
         self.stop.store(true, Ordering::Release);
         self.grpc.stop();
-        match self.poller.take() {
-            Some(h) => h.join().expect("poller panicked"),
-            None => Ok(()),
-        }
+        let poller = self.poller.take().expect("joined only here and in drop");
+        poller.join().expect("poller panicked")
     }
 }
 
@@ -409,103 +292,35 @@ impl Drop for XrpcTerminator {
 /// any of those is noticed.
 const IDLE_WAIT_BOUND: Duration = Duration::from_millis(1);
 
-/// The poller's end of the xRPC hand-off: the request channel, the stop
-/// flag, and the request a blocking receive woke the poller with. That
-/// request is handed out first by the next [`Handoff::ready`], so it is
-/// classified by the same intake code as one found without blocking.
-struct Handoff {
+/// Depth of the hand-off channel between the xRPC connection threads and
+/// the poller; a full channel blocks the connection threads.
+const HANDOFF_DEPTH: usize = 4096;
+
+/// Most requests one intake pass queues ahead of dispatch ("the user is
+/// responsible for queueing enough requests to fill a block before
+/// calling the event loop", §IV) before the loop goes back to submitting.
+const INTAKE_CAP: usize = 512;
+
+/// The poll loop on the caller's thread, for harnesses that own the
+/// hand-off channel: drains `rx` through `layers` into `client` until
+/// `stop` is set and everything has drained. Unlike
+/// [`XrpcTerminator::spawn`] it leaves `client`'s own wiring (tracer,
+/// credit observer) to the caller.
+pub fn run_poller(
+    client: OffloadClient,
     rx: Receiver<ForwardRequest>,
     stop: Arc<AtomicBool>,
-    woken: Option<ForwardRequest>,
+    layers: Layers,
+) -> Result<(), RpcError> {
+    let trace = layers
+        .tracer
+        .is_enabled()
+        .then(|| layers.tracer.sink(&format!("{}/client", layers.conn_label)));
+    Poller::new(client, rx, stop, layers, trace).run()
 }
 
-impl Handoff {
-    fn new(rx: Receiver<ForwardRequest>, stop: Arc<AtomicBool>) -> Self {
-        Self {
-            rx,
-            stop,
-            woken: None,
-        }
-    }
-
-    /// Forwarded requests available right now, oldest first.
-    fn ready(&mut self) -> impl Iterator<Item = ForwardRequest> + '_ {
-        self.woken.take().into_iter().chain(self.rx.try_iter())
-    }
-
-    /// The poller's one blocking point: sleeps where the next event will
-    /// come from (the `poll()` sleep of §III.C). `drained` says the loop
-    /// holds no backlog, queued request or grant of its own. When that is
-    /// so and the RDMA side is quiescent — or there is no live client at
-    /// all — no completion can be next, so this parks on the hand-off
-    /// channel; otherwise it waits on the completion queue. After parking
-    /// it still runs a zero-timeout event-loop pass, so whatever reached
-    /// the completion queue meanwhile (a `CACHE_INVALIDATE`, say) is
-    /// applied before the woken request is classified. Returns `true`
-    /// when the poller should exit: stopped, and nothing left anywhere.
-    fn wait(
-        &mut self,
-        mut client: Option<&mut OffloadClient>,
-        drained: bool,
-    ) -> Result<bool, RpcError> {
-        let park = client
-            .as_mut()
-            .is_none_or(|c| drained && c.rpc().is_quiescent());
-        let mut cq_wait = IDLE_WAIT_BOUND;
-        if park {
-            match self.rx.recv_timeout(IDLE_WAIT_BOUND) {
-                Ok(req) => {
-                    self.woken = Some(req);
-                    cq_wait = Duration::ZERO;
-                }
-                Err(RecvTimeoutError::Timeout) => cq_wait = Duration::ZERO,
-                // Every sender is gone and the receive returns at once:
-                // wait out the bound below instead of spinning.
-                Err(RecvTimeoutError::Disconnected) => {}
-            }
-        }
-        match client.as_mut() {
-            Some(c) => {
-                c.event_loop(cq_wait)?;
-            }
-            // No completion queue either (HA, dead lease), and with the
-            // channel disconnected no request can come: sit out the bound.
-            None => std::thread::park_timeout(cq_wait),
-        }
-        Ok(drained
-            && self.woken.is_none()
-            && self.stop.load(Ordering::Acquire)
-            && client.is_none_or(|c| c.rpc().outstanding() == 0)
-            && self.rx.is_empty())
-    }
-}
-
-/// Queues one forwarded request with its tenant, or answers it with the
-/// retryable [`STATUS_SHED`] when admission refuses it — the datapath
-/// never sees a shed request.
-fn offer_or_shed(sched: &mut TenantScheduler<ForwardRequest>, req: ForwardRequest, now_ns: u64) {
-    let tenant = req.tenant.clone();
-    let cost = req.wire.len() as u32;
-    if let Err((req, _reason)) = sched.offer(&tenant, req, cost, now_ns) {
-        let _ = req.resp_tx.send((STATUS_SHED, Vec::new()));
-    }
-}
-
-/// Intake for the loops with nothing in front of the scheduler: admits
-/// what the xRPC side has forwarded, up to a 512-deep queue per pass.
-fn admit_ready(handoff: &mut Handoff, sched: &mut TenantScheduler<ForwardRequest>, now_ns: u64) {
-    for req in handoff.ready() {
-        offer_or_shed(sched, req, now_ns);
-        if sched.queued() >= 512 {
-            break;
-        }
-    }
-}
-
-/// The poller loop: drains forwarded requests into the RPC-over-RDMA
-/// client, retries on backpressure (credits / send-buffer), and drives the
-/// event loop. Public so measured-mode harnesses can run it on a thread
-/// they control.
+/// [`run_poller`] with nothing but the offload client: retries on
+/// backpressure (credits / send-buffer) and drives the event loop.
 pub fn poller_loop(
     client: OffloadClient,
     rx: Receiver<ForwardRequest>,
@@ -517,541 +332,63 @@ pub fn poller_loop(
 
 /// [`poller_loop`] with an optional span sink: when a sampled request is
 /// accepted by the RDMA client, its `terminate` span (xRPC receive →
-/// enqueue into the outgoing block) is recorded here.
+/// enqueue into the outgoing block) is recorded there.
 pub fn poller_loop_traced(
-    mut client: OffloadClient,
+    client: OffloadClient,
     rx: Receiver<ForwardRequest>,
     mode: ForwardMode,
     stop: Arc<AtomicBool>,
     trace: Option<SpanSink>,
 ) -> Result<(), RpcError> {
-    let mut handoff = Handoff::new(rx, stop);
-    let mut backlog: VecDeque<ForwardRequest> = VecDeque::new();
-    loop {
-        // Refill the backlog ("the user is responsible for queueing enough
-        // requests to fill a block before calling the event loop", §IV).
-        for req in handoff.ready() {
-            backlog.push_back(req);
-            if backlog.len() >= 512 {
-                break;
-            }
-        }
-        // Enqueue as much of the backlog as backpressure allows.
-        while let Some(req) = backlog.pop_front() {
-            let resp_tx = req.resp_tx.clone();
-            let cont: pbo_rpcrdma::client::Continuation = Box::new(move |payload, status| {
-                let _ = resp_tx.send((status, payload.to_vec()));
-            });
-            let result = match mode {
-                ForwardMode::Offload => {
-                    client.call_offloaded_md(req.proc_id, &req.wire, &req.metadata, cont)
-                }
-                ForwardMode::Forward => {
-                    client.call_forwarded_md(req.proc_id, &req.wire, &req.metadata, cont)
-                }
-            };
-            match result {
-                Ok(()) => {
-                    // Termination span: frame received on the xRPC side →
-                    // committed into the outgoing block (which is exactly
-                    // where the block_build span picks up).
-                    if let (Some(sink), true) = (&trace, req.recv_ns != 0) {
-                        if let Some(ctx) = client.rpc().last_trace_ctx() {
-                            sink.record(Span {
-                                trace_id: ctx.trace_id,
-                                stage: stages::TERMINATE,
-                                start_ns: req.recv_ns,
-                                end_ns: ctx.begin_ns,
-                                bytes: req.wire.len() as u64,
-                            });
-                            sink.annotate(
-                                ctx.trace_id,
-                                Some(&req.tenant),
-                                Some(proc_class(req.proc_id)),
-                                Some(mode.route_label()),
-                            );
-                        }
-                    }
-                }
-                Err(RpcError::NoCredits)
-                | Err(RpcError::SendBufferFull)
-                | Err(RpcError::TooManyOutstanding) => {
-                    backlog.push_front(req);
-                    break;
-                }
-                Err(RpcError::Quarantined(_))
-                | Err(RpcError::PayloadWriter(_))
-                | Err(RpcError::NoSuchProcedure(_)) => {
-                    // Poison or unserviceable request: answer the xRPC
-                    // client with an error status instead of killing the
-                    // poller.
-                    let _ = req.resp_tx.send((3, Vec::new()));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        if handoff.wait(Some(&mut client), backlog.is_empty())? {
-            return Ok(());
-        }
-    }
+    Poller::new(client, rx, stop, Layers::new(mode), trace).run()
 }
 
-/// [`poller_loop_traced`] with a tenant scheduler between the xRPC side
-/// and the RDMA client (§ multi-tenancy): every forwarded request passes
-/// through per-tenant admission control (token bucket + queue-depth
-/// shedding, answered with [`pbo_sched::STATUS_SHED`]) and WDRR dispatch
-/// gated on the tenant's credit sub-pool. Completions return grants via
-/// an in-thread channel fired from the response continuation.
-pub fn poller_loop_scheduled(
-    mut client: OffloadClient,
-    rx: Receiver<ForwardRequest>,
-    mode: ForwardMode,
-    stop: Arc<AtomicBool>,
-    trace: Option<SpanSink>,
-    mut sched: TenantScheduler<ForwardRequest>,
-) -> Result<(), RpcError> {
-    let mut handoff = Handoff::new(rx, stop);
-    let epoch = Instant::now();
-    let (done_tx, done_rx) = unbounded::<usize>();
-    // A dispatched request the RDMA client pushed back on (credits / send
-    // buffer). Its scheduler grant is already held, so it retries ahead
-    // of everything else rather than re-entering the queues.
-    let mut pending: Option<Scheduled<ForwardRequest>> = None;
-    loop {
-        let now_ns = epoch.elapsed().as_nanos() as u64;
-        // Classify + admit everything the xRPC side has forwarded.
-        admit_ready(&mut handoff, &mut sched, now_ns);
-        // Return completed grants before asking for new dispatches.
-        while let Ok(t) = done_rx.try_recv() {
-            sched.complete(t);
-        }
-        // Dispatch in WDRR order among credit-eligible tenants; the
-        // pending slot (grant already held) always goes first.
-        loop {
-            let out = match pending.take() {
-                Some(out) => out,
-                None => match sched.next(epoch.elapsed().as_nanos() as u64) {
-                    Some(out) => out,
-                    None => break,
-                },
-            };
-            let tenant = out.tenant;
-            let req = &out.item;
-            let resp_tx = req.resp_tx.clone();
-            let done = done_tx.clone();
-            let cont: pbo_rpcrdma::client::Continuation = Box::new(move |payload, status| {
-                let _ = resp_tx.send((status, payload.to_vec()));
-                let _ = done.send(tenant);
-            });
-            let result = match mode {
-                ForwardMode::Offload => {
-                    client.call_offloaded_md(req.proc_id, &req.wire, &req.metadata, cont)
-                }
-                ForwardMode::Forward => {
-                    client.call_forwarded_md(req.proc_id, &req.wire, &req.metadata, cont)
-                }
-            };
-            match result {
-                Ok(()) => {
-                    if let (Some(sink), true) = (&trace, req.recv_ns != 0) {
-                        if let Some(ctx) = client.rpc().last_trace_ctx() {
-                            // Queueing delay inside the scheduler…
-                            sink.record(Span {
-                                trace_id: ctx.trace_id,
-                                stage: stages::SCHED_WAIT,
-                                start_ns: ctx.begin_ns.saturating_sub(out.wait_ns),
-                                end_ns: ctx.begin_ns,
-                                bytes: req.wire.len() as u64,
-                            });
-                            // …and the termination span as in the
-                            // unscheduled loop.
-                            sink.record(Span {
-                                trace_id: ctx.trace_id,
-                                stage: stages::TERMINATE,
-                                start_ns: req.recv_ns,
-                                end_ns: ctx.begin_ns,
-                                bytes: req.wire.len() as u64,
-                            });
-                            sink.annotate(
-                                ctx.trace_id,
-                                Some(&req.tenant),
-                                Some(proc_class(req.proc_id)),
-                                Some(mode.route_label()),
-                            );
-                        }
-                    }
-                }
-                Err(RpcError::NoCredits)
-                | Err(RpcError::SendBufferFull)
-                | Err(RpcError::TooManyOutstanding) => {
-                    pending = Some(out);
-                    break;
-                }
-                Err(RpcError::Quarantined(_))
-                | Err(RpcError::PayloadWriter(_))
-                | Err(RpcError::NoSuchProcedure(_)) => {
-                    let _ = out.item.resp_tx.send((3, Vec::new()));
-                    sched.complete(tenant);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        if handoff.wait(Some(&mut client), pending.is_none() && sched.queued() == 0)? {
-            return Ok(());
-        }
-    }
-}
-
-/// [`poller_loop_scheduled`] with the DPU response cache consulted at
-/// request intake, before admission. Cache hits never enter the
-/// scheduler queues or the RDMA datapath: they are answered inline with
-/// a `terminate` + `cache_hit` span pair under a synthetic trace id
-/// (hits never reach the wire, so there is no protocol trace context to
-/// borrow — and the purity of hit traces is exactly what the
-/// acceptance tests assert). Hits still pay a cost-1 admission token.
-/// Stores happen in the response continuation, guarded by the epoch
-/// captured at dispatch so a flush-in-between (breaker, failover)
-/// discards them.
+/// [`poller_loop_traced`] with a tenant scheduler and the DPU response
+/// cache (see [`Layers`]); `tracer` is the clock of the spans on `trace`.
 #[allow(clippy::too_many_arguments)]
 pub fn poller_loop_cached(
-    mut client: OffloadClient,
+    client: OffloadClient,
     rx: Receiver<ForwardRequest>,
     mode: ForwardMode,
     stop: Arc<AtomicBool>,
     trace: Option<SpanSink>,
-    mut sched: TenantScheduler<ForwardRequest>,
+    sched: TenantScheduler<ForwardRequest>,
     cache: ResponseCache,
     tracer: Tracer,
 ) -> Result<(), RpcError> {
-    let mut handoff = Handoff::new(rx, stop);
-    let epoch = Instant::now();
-    let (done_tx, done_rx) = unbounded::<usize>();
-    let mut pending: Option<Scheduled<ForwardRequest>> = None;
-    // Synthetic trace-id source for hit-path spans: the high bit-48 tag
-    // keeps them disjoint from protocol-derived ids (FNV over the
-    // connection label) for any practical span volume.
-    let mut synthetic: u64 = 0;
-    loop {
-        let now_ns = epoch.elapsed().as_nanos() as u64;
-        // Host-driven invalidations land before new lookups, so a class
-        // invalidated by the previous event-loop pass cannot hit.
-        for class in client.rpc().take_cache_invalidations() {
-            cache.invalidate_class(class);
-        }
-        // Classify: cache hits answered inline, misses admitted.
-        for req in handoff.ready() {
-            // For a traced request, stamp where the lookup starts: that
-            // is where `terminate` ends and `cache_hit` begins on a hit.
-            let traced = match &trace {
-                Some(sink) if req.recv_ns != 0 => Some((sink, tracer.now_ns())),
-                _ => None,
-            };
-            let Some((status, payload)) = cache.lookup(&req.tenant, req.proc_id, &req.wire, now_ns)
-            else {
-                offer_or_shed(&mut sched, req, now_ns);
-                if sched.queued() >= 512 {
-                    break;
-                }
-                continue;
-            };
-            // Front-door rate limit still applies: a hit is nearly free,
-            // so it costs one token, not its byte size.
-            if sched.admit(&req.tenant, 1, now_ns).is_err() {
-                let _ = req.resp_tx.send((STATUS_SHED, Vec::new()));
-                continue;
-            }
-            let _ = req.resp_tx.send((status, payload));
-            if let Some((sink, lookup_ns)) = traced {
-                synthetic += 1;
-                let tid = (1u64 << 48) | synthetic;
-                sink.record(Span {
-                    trace_id: tid,
-                    stage: stages::TERMINATE,
-                    start_ns: req.recv_ns,
-                    end_ns: lookup_ns,
-                    bytes: req.wire.len() as u64,
-                });
-                sink.record(Span {
-                    trace_id: tid,
-                    stage: stages::CACHE_HIT,
-                    start_ns: lookup_ns,
-                    end_ns: tracer.now_ns(),
-                    bytes: req.wire.len() as u64,
-                });
-                sink.annotate(
-                    tid,
-                    Some(&req.tenant),
-                    Some(proc_class(req.proc_id)),
-                    Some(Route::Cached.name()),
-                );
-            }
-        }
-        while let Ok(t) = done_rx.try_recv() {
-            sched.complete(t);
-        }
-        loop {
-            let out = match pending.take() {
-                Some(out) => out,
-                None => match sched.next(epoch.elapsed().as_nanos() as u64) {
-                    Some(out) => out,
-                    None => break,
-                },
-            };
-            let tenant = out.tenant;
-            let req = &out.item;
-            let resp_tx = req.resp_tx.clone();
-            let done = done_tx.clone();
-            // Populate-on-miss: only native-path status-0 responses are
-            // cached (forwarded/degraded responses came from a host-side
-            // deserialize and the never-cache-degraded rule applies);
-            // the epoch captured here dies with any intervening flush.
-            let store =
-                (mode == ForwardMode::Offload && cache.is_cachable(req.proc_id)).then(|| {
-                    (
-                        cache.clone(),
-                        cache.epoch(),
-                        req.tenant.clone(),
-                        req.proc_id,
-                        req.wire.clone(),
-                        trace.clone(),
-                        tracer.clone(),
-                    )
-                });
-            let cont: pbo_rpcrdma::client::Continuation = Box::new(move |payload, status| {
-                if status == 0 {
-                    if let Some((cache, ep, tenant, proc_id, wire, sink, tracer)) = &store {
-                        let now = epoch.elapsed().as_nanos() as u64;
-                        if cache.store(tenant, *proc_id, wire, payload, now, *ep)
-                            == pbo_cache::StoreOutcome::Stored
-                        {
-                            if let Some(sink) = sink {
-                                let t = tracer.now_ns();
-                                sink.record(Span {
-                                    trace_id: (1u64 << 49) | now,
-                                    stage: stages::CACHE_STORE,
-                                    start_ns: t,
-                                    end_ns: t,
-                                    bytes: payload.len() as u64,
-                                });
-                            }
-                        }
-                    }
-                }
-                let _ = resp_tx.send((status, payload.to_vec()));
-                let _ = done.send(tenant);
-            });
-            let result = match mode {
-                ForwardMode::Offload => {
-                    client.call_offloaded_md(req.proc_id, &req.wire, &req.metadata, cont)
-                }
-                ForwardMode::Forward => {
-                    client.call_forwarded_md(req.proc_id, &req.wire, &req.metadata, cont)
-                }
-            };
-            match result {
-                Ok(()) => {
-                    if let (Some(sink), true) = (&trace, req.recv_ns != 0) {
-                        if let Some(ctx) = client.rpc().last_trace_ctx() {
-                            sink.record(Span {
-                                trace_id: ctx.trace_id,
-                                stage: stages::SCHED_WAIT,
-                                start_ns: ctx.begin_ns.saturating_sub(out.wait_ns),
-                                end_ns: ctx.begin_ns,
-                                bytes: req.wire.len() as u64,
-                            });
-                            sink.record(Span {
-                                trace_id: ctx.trace_id,
-                                stage: stages::TERMINATE,
-                                start_ns: req.recv_ns,
-                                end_ns: ctx.begin_ns,
-                                bytes: req.wire.len() as u64,
-                            });
-                            sink.annotate(
-                                ctx.trace_id,
-                                Some(&req.tenant),
-                                Some(proc_class(req.proc_id)),
-                                Some(mode.route_label()),
-                            );
-                        }
-                    }
-                }
-                Err(RpcError::NoCredits)
-                | Err(RpcError::SendBufferFull)
-                | Err(RpcError::TooManyOutstanding) => {
-                    pending = Some(out);
-                    break;
-                }
-                Err(RpcError::Quarantined(_))
-                | Err(RpcError::PayloadWriter(_))
-                | Err(RpcError::NoSuchProcedure(_)) => {
-                    let _ = out.item.resp_tx.send((3, Vec::new()));
-                    sched.complete(tenant);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        if handoff.wait(Some(&mut client), pending.is_none() && sched.queued() == 0)? {
-            return Ok(());
-        }
-    }
+    let layers = Layers {
+        sched: Some(sched),
+        cache: Some(cache),
+        tracer,
+        ..Layers::new(mode)
+    };
+    Poller::new(client, rx, stop, layers, trace).run()
 }
 
-/// [`poller_loop_scheduled`] with the adaptive per-class offload policy
-/// choosing the route of every dispatched request. The route is decided
-/// **once**, when the scheduler first hands the request out — a
-/// backpressure retry reuses the held decision, so
-/// `policy_route_total{class,route}` counts requests, not attempts.
-/// Offloaded deserializations report their [`pbo_protowire::DeserStats`]
-/// back into the policy (one observation refreshes both routes' cost
-/// estimates — the coefficients price the same work-unit counts on
-/// either platform), and `policy.refresh_signals` runs every iteration
-/// so pressure reacts at telemetry speed, throttled only by the
-/// policy's own `signal_refresh_ns`.
-pub fn poller_loop_adaptive(
-    mut client: OffloadClient,
-    rx: Receiver<ForwardRequest>,
-    stop: Arc<AtomicBool>,
-    trace: Option<SpanSink>,
-    mut sched: TenantScheduler<ForwardRequest>,
-    mut policy: PolicyEngine,
-) -> Result<(), RpcError> {
-    let mut handoff = Handoff::new(rx, stop);
-    let epoch = Instant::now();
-    let (done_tx, done_rx) = unbounded::<usize>();
-    // A dispatched request the RDMA client pushed back on, with the
-    // route already decided (and counted): it retries verbatim.
-    let mut pending: Option<(Scheduled<ForwardRequest>, Route)> = None;
-    loop {
-        let now_ns = epoch.elapsed().as_nanos() as u64;
-        policy.refresh_signals(now_ns);
-        // Classify + admit everything the xRPC side has forwarded.
-        admit_ready(&mut handoff, &mut sched, now_ns);
-        while let Ok(t) = done_rx.try_recv() {
-            sched.complete(t);
-        }
-        // Dispatch in WDRR order; the pending slot goes first and keeps
-        // its original route decision.
-        loop {
-            let (out, route) = match pending.take() {
-                Some(held) => held,
-                None => match sched.next(epoch.elapsed().as_nanos() as u64) {
-                    Some(out) => {
-                        let choice =
-                            policy.route(out.item.proc_id, epoch.elapsed().as_nanos() as u64);
-                        (out, choice.route)
-                    }
-                    None => break,
-                },
-            };
-            let tenant = out.tenant;
-            let req = &out.item;
-            let resp_tx = req.resp_tx.clone();
-            let done = done_tx.clone();
-            let cont: pbo_rpcrdma::client::Continuation = Box::new(move |payload, status| {
-                let _ = resp_tx.send((status, payload.to_vec()));
-                let _ = done.send(tenant);
-            });
-            let result = match route {
-                Route::Dpu => client.call_offloaded_md(
-                    req.proc_id,
-                    &req.wire,
-                    &routed_metadata(MODE_NATIVE, &req.metadata),
-                    cont,
-                ),
-                Route::Host => client.call_forwarded_md(
-                    req.proc_id,
-                    &req.wire,
-                    &routed_metadata(MODE_SERIALIZED, &req.metadata),
-                    cont,
-                ),
-                // The control loop never chooses the cached route — it
-                // is reported by the cache layer, not dispatched here.
-                Route::Cached => unreachable!("policy never routes to Cached"),
-            };
-            match result {
-                Ok(()) => {
-                    if route == Route::Dpu {
-                        // Feed the real work-unit counts of this DPU-side
-                        // deserialization back into the cost estimates.
-                        if let Some((stats, used)) = client.take_deser_outcome() {
-                            policy.observe_stats(
-                                req.proc_id,
-                                &stats,
-                                req.wire.len() as u64,
-                                used,
-                                epoch.elapsed().as_nanos() as u64,
-                            );
-                        }
-                    }
-                    if let (Some(sink), true) = (&trace, req.recv_ns != 0) {
-                        if let Some(ctx) = client.rpc().last_trace_ctx() {
-                            sink.record(Span {
-                                trace_id: ctx.trace_id,
-                                stage: stages::SCHED_WAIT,
-                                start_ns: ctx.begin_ns.saturating_sub(out.wait_ns),
-                                end_ns: ctx.begin_ns,
-                                bytes: req.wire.len() as u64,
-                            });
-                            sink.record(Span {
-                                trace_id: ctx.trace_id,
-                                stage: stages::TERMINATE,
-                                start_ns: req.recv_ns,
-                                end_ns: ctx.begin_ns,
-                                bytes: req.wire.len() as u64,
-                            });
-                            sink.annotate(
-                                ctx.trace_id,
-                                Some(&req.tenant),
-                                Some(policy.class_label(req.proc_id).unwrap_or("__unregistered")),
-                                Some(route.name()),
-                            );
-                        }
-                    }
-                }
-                Err(RpcError::NoCredits)
-                | Err(RpcError::SendBufferFull)
-                | Err(RpcError::TooManyOutstanding) => {
-                    pending = Some((out, route));
-                    break;
-                }
-                Err(RpcError::Quarantined(_))
-                | Err(RpcError::PayloadWriter(_))
-                | Err(RpcError::NoSuchProcedure(_)) => {
-                    let _ = out.item.resp_tx.send((3, Vec::new()));
-                    sched.complete(tenant);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        if handoff.wait(Some(&mut client), pending.is_none() && sched.queued() == 0)? {
-            return Ok(());
-        }
-    }
+/// A request off the queue: the scheduler grant it holds (a tenant index;
+/// unused on the FIFO backlog), how long it queued, and its route —
+/// decided **once**, so a backpressure retry reuses it and
+/// `policy_route_total{class,route}` and the rejoin ramp count requests,
+/// not attempts.
+struct Granted {
+    req: ForwardRequest,
+    tenant: usize,
+    wait_ns: u64,
+    verdict: Verdict,
 }
 
-/// Failure-domain knobs for [`XrpcTerminator::spawn_ha`].
-#[derive(Clone, Debug)]
-pub struct HaConfig {
-    /// Liveness lease on the DPU datapath: renewed every iteration that
-    /// makes progress, Suspect past one interval, Dead past
-    /// `interval × miss_threshold`.
-    pub lease: LeaseConfig,
-    /// During rejoin, every Nth scheduler grant probes the DPU path
-    /// (stride halves per accepted probe; `<= 1` completes the rejoin).
-    pub rejoin_probe_stride: u32,
-}
-
-impl Default for HaConfig {
-    fn default() -> Self {
-        Self {
-            lease: LeaseConfig::default(),
-            rejoin_probe_stride: 8,
-        }
-    }
-}
-
-/// Recovery metrics for the HA terminator (one set per `conn` label).
-struct HaCounters {
+/// The HA layer's state inside the loop.
+struct Ha {
+    layer: HaLayer,
+    lease: LeaseMonitor,
+    hb_seq: u64,
+    /// Requests accepted by the RDMA client and awaiting completion, with
+    /// their submission times, keyed by submission sequence (= replay
+    /// order after a death).
+    journal: BTreeMap<u64, (u64, Granted)>,
+    /// Present only while Rejoining.
+    ramp: Option<RejoinRamp>,
+    rejoin_started_wall: u64,
     failovers: Counter,
     rejoins: Counter,
     replayed: Counter,
@@ -1060,411 +397,654 @@ struct HaCounters {
     lease_time_in_state: Gauge,
 }
 
-impl HaCounters {
-    fn bind(registry: &Registry, conn: &str) -> Self {
+impl Ha {
+    fn new(layer: HaLayer, conn: &str) -> Self {
         let l = [("conn", conn)];
+        let counter = |name, help| layer.registry.counter(name, help, &l);
+        let gauge = |name, help| layer.registry.gauge(name, help, &l);
+        // The gauges start at 0: Live, no time in state.
         Self {
-            failovers: registry.counter(
+            failovers: counter(
                 "terminator_failovers_total",
                 "Whole-DPU failovers to the host-only datapath",
-                &l,
             ),
-            rejoins: registry.counter(
+            rejoins: counter(
                 "terminator_rejoins_total",
                 "Warm rejoins that restored full offload service",
-                &l,
             ),
-            replayed: registry.counter(
+            replayed: counter(
                 "terminator_replayed_requests_total",
                 "In-flight requests replayed through the host after a DPU death",
-                &l,
             ),
-            host_served: registry.counter(
+            host_served: counter(
                 "terminator_host_served_total",
                 "Requests served by the host-direct fallback datapath",
-                &l,
             ),
-            lease_state: registry.gauge(
+            lease_state: gauge(
                 "terminator_lease_state",
                 "DPU lease state (0=live 1=suspect 2=dead 3=rejoining)",
-                &l,
             ),
-            lease_time_in_state: registry.gauge(
+            lease_time_in_state: gauge(
                 "terminator_lease_time_in_state_ns",
                 "Nanoseconds the DPU lease has spent in its current state",
-                &l,
             ),
+            lease: LeaseMonitor::new(layer.config.lease, 0),
+            layer,
+            hb_seq: 0,
+            journal: BTreeMap::new(),
+            ramp: None,
+            rejoin_started_wall: 0,
         }
     }
-}
 
-/// One request committed to the RDMA datapath and not yet completed:
-/// enough to replay it through the host if the DPU dies first.
-struct HaInflight {
-    tenant: usize,
-    req: ForwardRequest,
-}
-
-/// Serves one request on the host-direct path and returns its scheduler
-/// grant. Poison and unknown procedures answer status 3, same as the
-/// DPU-path arms.
-fn ha_serve_host(
-    host: &mut HostDirect,
-    sched: &mut TenantScheduler<ForwardRequest>,
-    counters: &HaCounters,
-    tenant: usize,
-    req: &ForwardRequest,
-) {
-    let mut out = Vec::new();
-    let status = host.dispatch(req.proc_id, &req.wire, &mut out).unwrap_or(3);
-    let _ = req.resp_tx.send((status, out));
-    sched.complete(tenant);
-    counters.host_served.inc();
-}
-
-/// The whole-DPU failover: declares the lease dead, drops the dead
-/// client (its continuations die unfired — each replayed request still
-/// answers its xRPC slot exactly once), invalidates the fabric credit
-/// window, and drains the held grant plus every in-flight request into
-/// the host path in submission order.
-#[allow(clippy::too_many_arguments)]
-fn ha_failover(
-    lease: &mut LeaseMonitor,
-    counters: &HaCounters,
-    client: &mut Option<OffloadClient>,
-    pending: &mut Option<Scheduled<ForwardRequest>>,
-    inflight: &mut BTreeMap<u64, HaInflight>,
-    sched: &mut TenantScheduler<ForwardRequest>,
-    host: &mut HostDirect,
-    done_rx: &Receiver<(u64, usize)>,
-    trace: &Option<SpanSink>,
-    tracer: &Tracer,
-    now_ns: u64,
-) {
-    if lease.state() == LeaseState::Dead && client.is_none() {
-        return;
-    }
-    // A death mid-rejoin falls back to Dead; a live lease is declared
-    // dead on the spot.
-    if !lease.abort_rejoin(now_ns) {
-        lease.declare_dead(now_ns);
-    }
-    counters.failovers.inc();
-    counters.lease_state.set(lease.state().gauge_code() as i64);
-    let wall_start = tracer.now_ns();
-    // Anything that completed before the death already returned its
-    // grant and left the journal; collect those first so they are not
-    // replayed.
-    while let Ok((seq, tenant)) = done_rx.try_recv() {
-        sched.complete(tenant);
-        inflight.remove(&seq);
-    }
-    // Drop the dead client: pending continuations die unfired, so every
-    // surviving journal entry owes its xRPC slot exactly one response.
-    *client = None;
-    // The credit window tracked blocks the dead DPU will never ack.
-    sched.fabric().reset();
-    if let Some(out) = pending.take() {
-        ha_serve_host(host, sched, counters, out.tenant, &out.item);
-    }
-    let replayed = inflight.len() as u64;
-    for (_, entry) in std::mem::take(inflight) {
-        ha_serve_host(host, sched, counters, entry.tenant, &entry.req);
-        counters.replayed.inc();
-    }
-    if let Some(sink) = trace {
-        sink.record(Span {
-            trace_id: 0,
-            stage: stages::FAILOVER,
-            start_ns: wall_start,
-            end_ns: tracer.now_ns(),
-            bytes: replayed,
-        });
+    fn publish_lease_state(&self, now_ns: u64) {
+        self.lease_state.set(self.lease.state().gauge_code() as i64);
+        let in_state_ns = self.lease.time_in_state_ns(now_ns);
+        self.lease_time_in_state.set(in_state_ns as i64);
     }
 }
 
-/// [`poller_loop_scheduled`] wrapped in the DPU failure domain: lease
-/// monitoring, host-only failover, and stride-ramped warm rejoin. See
-/// [`XrpcTerminator::spawn_ha`] for the protocol.
-#[allow(clippy::too_many_arguments)]
-fn poller_loop_ha(
-    client: OffloadClient,
+/// A completion notice from a response continuation back to the loop:
+/// `(submission sequence, tenant grant)`.
+type Done = (u64, usize);
+
+/// The one poll loop. Each iteration: rejoin intake → drain control
+/// records → intake (cache lookup, admission) → return grants → route →
+/// submit → lease upkeep → [`Poller::wait`].
+struct Poller {
+    /// `None` only between an HA failover and the next rejoin.
+    client: Option<OffloadClient>,
+    /// The xRPC hand-off: the request channel and the stop flag.
     rx: Receiver<ForwardRequest>,
-    mode: ForwardMode,
     stop: Arc<AtomicBool>,
+    /// The request a blocking receive woke the poller with: first in the
+    /// next intake, so it is classified by the same code as one found
+    /// without blocking.
+    woken: Option<ForwardRequest>,
+    mode: ForwardMode,
+    /// The queue when there is no scheduler.
+    backlog: VecDeque<ForwardRequest>,
+    sched: Option<TenantScheduler<ForwardRequest>>,
+    policy: Option<PolicyEngine>,
+    cache: Option<ResponseCache>,
+    ha: Option<Ha>,
     trace: Option<SpanSink>,
-    mut sched: TenantScheduler<ForwardRequest>,
-    mut host: HostDirect,
-    rejoin_rx: Receiver<OffloadClient>,
-    ha: HaConfig,
-    counters: HaCounters,
     tracer: Tracer,
     conn_label: String,
-) -> Result<(), RpcError> {
-    let mut handoff = Handoff::new(rx, stop);
-    let epoch = Instant::now();
-    let (done_tx, done_rx) = unbounded::<(u64, usize)>();
-    let mut client: Option<OffloadClient> = Some(client);
-    let mut lease = LeaseMonitor::new(ha.lease, 0);
-    let mut hb_seq: u64 = 0;
-    let mut next_seq: u64 = 0;
-    // Requests accepted by the RDMA client and awaiting completion,
-    // keyed by submission sequence (= replay order after a death).
-    let mut inflight: BTreeMap<u64, HaInflight> = BTreeMap::new();
-    let mut pending: Option<Scheduled<ForwardRequest>> = None;
-    // Rejoin ramp: (current stride, grants seen since rejoin began).
-    let mut ramp: Option<(u32, u64)> = None;
-    let mut rejoin_started_wall: u64 = 0;
-    counters.lease_state.set(lease.state().gauge_code() as i64);
-    loop {
-        let now_ns = epoch.elapsed().as_nanos() as u64;
-        // A restarted DPU rejoining: the fresh client arrives fully
-        // re-established (ADT re-shipped, digests re-verified) and gets
-        // wired to this connection's tracer and credit window.
-        if lease.state() == LeaseState::Dead {
-            if let Ok(mut fresh) = rejoin_rx.try_recv() {
-                fresh.set_tracer(&tracer, &conn_label);
-                fresh.rpc().set_credit_observer(sched.fabric());
-                client = Some(fresh);
-                lease.begin_rejoin(now_ns);
-                counters.lease_state.set(lease.state().gauge_code() as i64);
-                ramp = Some((ha.rejoin_probe_stride.max(1), 0));
-                rejoin_started_wall = tracer.now_ns();
-            }
+    epoch: Instant,
+    /// Present when something must hear about completions: scheduler
+    /// grants to return, journal entries to retire.
+    done: Option<(Sender<Done>, Receiver<Done>)>,
+    /// A request the RDMA client pushed back on (credits / send buffer):
+    /// grant and route already held, it retries ahead of everything else.
+    pending: Option<Granted>,
+    next_seq: u64,
+    /// Trace-id source for hit-path spans (hits never reach the wire, so
+    /// there is no protocol trace context to borrow); tagged with bit 48,
+    /// disjoint from protocol-derived ids (FNV over the connection label).
+    synthetic: u64,
+}
+
+impl Poller {
+    fn new(
+        client: OffloadClient,
+        rx: Receiver<ForwardRequest>,
+        stop: Arc<AtomicBool>,
+        layers: Layers,
+        trace: Option<SpanSink>,
+    ) -> Self {
+        let ha = layers.ha.map(|layer| Ha::new(layer, &layers.conn_label));
+        Self {
+            client: Some(client),
+            rx,
+            stop,
+            woken: None,
+            mode: layers.mode,
+            backlog: VecDeque::new(),
+            done: (layers.sched.is_some() || ha.is_some()).then(unbounded),
+            sched: layers.sched,
+            policy: layers.policy,
+            cache: layers.cache,
+            ha,
+            trace,
+            tracer: layers.tracer,
+            conn_label: layers.conn_label,
+            epoch: Instant::now(),
+            pending: None,
+            next_seq: 0,
+            synthetic: 0,
         }
-        // Classify + admit everything the xRPC side has forwarded.
-        admit_ready(&mut handoff, &mut sched, now_ns);
-        let mut completed_this_iter: u64 = 0;
-        while let Ok((seq, tenant)) = done_rx.try_recv() {
-            sched.complete(tenant);
-            inflight.remove(&seq);
-            completed_this_iter += 1;
+    }
+
+    fn now_ns(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
+    }
+
+    /// Under the HA layer a device death, whichever end of the connection
+    /// saw it: the crash fires on the next post of either side and poisons
+    /// the queue pair, so when the host posted first this side reads
+    /// `Disconnected`. The poller cannot reconnect, but it can fail over
+    /// and wait for a rejoin client. Every other error still ends the loop.
+    fn fails_over(&self, e: &RpcError) -> bool {
+        let peer_gone = matches!(e, RpcError::Transport(QpError::Disconnected));
+        self.ha.is_some() && (e.is_dpu_death() || peer_gone)
+    }
+
+    /// Requests waiting for dispatch.
+    fn queued(&self) -> usize {
+        match &self.sched {
+            Some(sched) => sched.queued(),
+            None => self.backlog.len(),
         }
-        // Dispatch in WDRR order; the pending slot (grant held) first.
+    }
+
+    fn lease_state(&self) -> LeaseState {
+        self.ha
+            .as_ref()
+            .map_or(LeaseState::Live, |ha| ha.lease.state())
+    }
+
+    fn run(mut self) -> Result<(), RpcError> {
+        // The bare loop never looks at the clock (`done`: scheduler or HA).
+        let timed = self.done.is_some() || self.policy.is_some() || self.cache.is_some();
         loop {
-            let out = match pending.take() {
-                Some(out) => out,
-                None => match sched.next(epoch.elapsed().as_nanos() as u64) {
-                    Some(out) => out,
-                    None => break,
-                },
-            };
-            // Route per lease state: Dead → host, Rejoining → mostly
-            // host with every stride-th grant probing the DPU,
-            // Live/Suspect → DPU.
-            let dpu_path = match lease.state() {
-                LeaseState::Dead => false,
-                LeaseState::Live | LeaseState::Suspect => true,
-                LeaseState::Rejoining => {
-                    let (stride, seen) = ramp.get_or_insert((1, 0));
-                    *seen += 1;
-                    *stride <= 1 || *seen % (*stride as u64) == 0
-                }
-            };
-            if !dpu_path {
-                ha_serve_host(&mut host, &mut sched, &counters, out.tenant, &out.item);
-                continue;
+            let now_ns = if timed { self.now_ns() } else { 0 };
+            self.rejoin_intake(now_ns);
+            if let Some(policy) = &mut self.policy {
+                // Throttled by the policy's own `signal_refresh_ns`.
+                policy.refresh_signals(now_ns);
             }
-            let cl = client.as_mut().expect("lease live implies a client");
-            let tenant = out.tenant;
-            let req = &out.item;
-            let seq = next_seq;
-            let resp_tx = req.resp_tx.clone();
-            let done = done_tx.clone();
-            let cont: pbo_rpcrdma::client::Continuation = Box::new(move |payload, status| {
-                let _ = resp_tx.send((status, payload.to_vec()));
-                let _ = done.send((seq, tenant));
-            });
-            let result = match mode {
-                ForwardMode::Offload => {
-                    cl.call_offloaded_md(req.proc_id, &req.wire, &req.metadata, cont)
+            self.intake(now_ns);
+            let completed = self.return_grants();
+            self.dispatch()?;
+            self.lease_upkeep(completed);
+            if self.wait()? {
+                // Quiescent: every grant handed out has come back.
+                self.return_grants();
+                let held = self.sched.as_ref().map(|s| s.partition().total_in_use());
+                debug_assert!(held.is_none_or(|n| n == 0), "poller exits holding grants");
+                return Ok(());
+            }
+        }
+    }
+
+    /// A restarted DPU rejoining: wires the fresh client to this
+    /// connection's tracer and credit window (the sub-pools re-sync
+    /// against the reset fabric window) and starts the ramp.
+    fn rejoin_intake(&mut self, now_ns: u64) {
+        let Some(ha) = &mut self.ha else { return };
+        if ha.lease.state() != LeaseState::Dead {
+            return;
+        }
+        let Ok(mut fresh) = ha.layer.rejoin_rx.try_recv() else {
+            return;
+        };
+        fresh.set_tracer(&self.tracer, &self.conn_label);
+        if let Some(sched) = &self.sched {
+            fresh.rpc().set_credit_observer(sched.fabric());
+        }
+        self.client = Some(fresh);
+        ha.lease.begin_rejoin(now_ns);
+        ha.publish_lease_state(now_ns);
+        ha.ramp = Some(RejoinRamp::new(ha.layer.config.rejoin_probe_stride));
+        ha.rejoin_started_wall = self.tracer.now_ns();
+    }
+
+    /// Classifies what the xRPC side has forwarded: cache hits are
+    /// answered inline, everything else is queued — or shed with the
+    /// retryable [`STATUS_SHED`]; the datapath never sees a shed request.
+    fn intake(&mut self, now_ns: u64) {
+        let lookup = precedence::may_lookup(self.lease_state(), false);
+        if let (Some(cache), Some(client)) = (&self.cache, &mut self.client) {
+            // Host-driven invalidations land before new lookups, so a
+            // class invalidated by the previous event-loop pass cannot hit.
+            for class in client.rpc().take_cache_invalidations() {
+                cache.invalidate_class(class);
+            }
+        }
+        for req in self.woken.take().into_iter().chain(self.rx.try_iter()) {
+            if let Some(cache) = self.cache.as_ref().filter(|_| lookup) {
+                // For a traced request, stamp where the lookup starts:
+                // that is where `terminate` ends and `cache_hit` begins.
+                let traced = self.trace.as_ref().filter(|_| req.recv_ns != 0);
+                let lookup_ns = traced.map_or(0, |_| self.tracer.now_ns());
+                if let Some((status, payload)) =
+                    cache.lookup(&req.tenant, req.proc_id, &req.wire, now_ns)
+                {
+                    // The front-door rate limit still applies: a hit is
+                    // nearly free, so it costs one token, not its size.
+                    if let Some(sched) = &mut self.sched {
+                        if sched.admit(&req.tenant, 1, now_ns).is_err() {
+                            let _ = req.resp_tx.send((STATUS_SHED, Vec::new()));
+                            continue;
+                        }
+                    }
+                    let _ = req.resp_tx.send((status, payload));
+                    if let Some(policy) = &mut self.policy {
+                        policy.note_cached(req.proc_id, now_ns);
+                    }
+                    if let Some(sink) = traced {
+                        self.synthetic += 1;
+                        record_terminate(
+                            sink,
+                            (1u64 << 48) | self.synthetic,
+                            &req,
+                            lookup_ns,
+                            Some((stages::CACHE_HIT, lookup_ns, self.tracer.now_ns())),
+                            proc_class(req.proc_id),
+                            Route::Cached.name(),
+                        );
+                    }
+                    continue;
                 }
-                ForwardMode::Forward => {
-                    cl.call_forwarded_md(req.proc_id, &req.wire, &req.metadata, cont)
+            }
+            match &mut self.sched {
+                Some(sched) => {
+                    let tenant = req.tenant.clone();
+                    let cost = req.wire.len() as u32;
+                    if let Err((req, _reason)) = sched.offer(&tenant, req, cost, now_ns) {
+                        let _ = req.resp_tx.send((STATUS_SHED, Vec::new()));
+                    }
                 }
+                None => self.backlog.push_back(req),
+            }
+            if self.queued() >= INTAKE_CAP {
+                break;
+            }
+        }
+    }
+
+    /// Returns completed grants before asking for new dispatches and
+    /// retires their journal entries; returns how many completed.
+    fn return_grants(&mut self) -> u64 {
+        let mut completed = 0;
+        for (seq, tenant) in self.done.iter().flat_map(|(_, rx)| rx.try_iter()) {
+            if let Some(sched) = &mut self.sched {
+                sched.complete(tenant);
+            }
+            if let Some(ha) = &mut self.ha {
+                ha.journal.remove(&seq);
+            }
+            completed += 1;
+        }
+        completed
+    }
+
+    /// The held request first, then WDRR order among credit-eligible
+    /// tenants (FIFO without a scheduler), routed as it leaves the queue
+    /// (the terminator has no breaker: that authority is never asked).
+    fn take_next(&mut self) -> Option<Granted> {
+        if let Some(held) = self.pending.take() {
+            return Some(held);
+        }
+        let (req, tenant, wait_ns) = match &mut self.sched {
+            Some(sched) => {
+                let out = sched.next(self.epoch.elapsed().as_nanos() as u64)?;
+                (out.item, out.tenant, out.wait_ns)
+            }
+            None => (self.backlog.pop_front()?, 0, 0),
+        };
+        let lease = self.lease_state();
+        let (policy, epoch) = (&mut self.policy, self.epoch);
+        let ramp = self.ha.as_mut().and_then(|ha| ha.ramp.as_mut());
+        let ramp_probe = || ramp.is_some_and(|r| r.probe());
+        let policy = || {
+            let policy = policy.as_mut()?;
+            let now_ns = epoch.elapsed().as_nanos() as u64;
+            Some(policy.route(req.proc_id, now_ns).route)
+        };
+        let verdict = precedence::route(lease, false, self.mode, ramp_probe, || true, policy);
+        Some(Granted {
+            req,
+            tenant,
+            wait_ns,
+            verdict,
+        })
+    }
+
+    /// Moves as much of the queue into the datapath as backpressure
+    /// allows.
+    fn dispatch(&mut self) -> Result<(), RpcError> {
+        while let Some(g) = self.take_next() {
+            let Some(fabric) = g.verdict.fabric else {
+                self.serve_host(&g);
+                continue;
             };
-            match result {
-                Ok(()) => {
-                    next_seq += 1;
-                    if let (Some(sink), true) = (&trace, req.recv_ns != 0) {
-                        if let Some(ctx) = cl.rpc().last_trace_ctx() {
-                            sink.record(Span {
-                                trace_id: ctx.trace_id,
-                                stage: stages::SCHED_WAIT,
-                                start_ns: ctx.begin_ns.saturating_sub(out.wait_ns),
-                                end_ns: ctx.begin_ns,
-                                bytes: req.wire.len() as u64,
-                            });
-                            sink.record(Span {
-                                trace_id: ctx.trace_id,
-                                stage: stages::TERMINATE,
-                                start_ns: req.recv_ns,
-                                end_ns: ctx.begin_ns,
-                                bytes: req.wire.len() as u64,
-                            });
-                            sink.annotate(
-                                ctx.trace_id,
-                                Some(&req.tenant),
-                                Some(proc_class(req.proc_id)),
-                                Some(mode.route_label()),
-                            );
-                        }
-                    }
-                    inflight.insert(
-                        seq,
-                        HaInflight {
-                            tenant,
-                            req: out.item,
-                        },
-                    );
-                    // An accepted probe halves the ramp stride; stride 1
-                    // means the DPU is carrying full traffic again.
-                    if lease.state() == LeaseState::Rejoining {
-                        if let Some((stride, _)) = &mut ramp {
-                            *stride /= 2;
-                            if *stride <= 1 {
-                                lease.complete_rejoin(epoch.elapsed().as_nanos() as u64);
-                                counters.lease_state.set(lease.state().gauge_code() as i64);
-                                counters.rejoins.inc();
-                                ramp = None;
-                                hb_seq = 0;
-                                if let Some(sink) = &trace {
-                                    sink.record(Span {
-                                        trace_id: 0,
-                                        stage: stages::REJOIN,
-                                        start_ns: rejoin_started_wall,
-                                        end_ns: tracer.now_ns(),
-                                        bytes: 0,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
+            match self.submit(&g, fabric) {
+                Ok(()) => self.submitted(g, fabric),
                 Err(RpcError::NoCredits)
                 | Err(RpcError::SendBufferFull)
                 | Err(RpcError::TooManyOutstanding) => {
-                    pending = Some(out);
+                    self.pending = Some(g);
                     break;
                 }
                 Err(RpcError::Quarantined(_))
                 | Err(RpcError::PayloadWriter(_))
                 | Err(RpcError::NoSuchProcedure(_)) => {
-                    let _ = out.item.resp_tx.send((3, Vec::new()));
-                    sched.complete(tenant);
+                    // Poison or unserviceable request: answer the xRPC
+                    // client with an error status instead of killing the
+                    // poller.
+                    let _ = g.req.resp_tx.send((STATUS_QUARANTINED, Vec::new()));
+                    if let Some(sched) = &mut self.sched {
+                        sched.complete(g.tenant);
+                    }
                 }
-                Err(e) if e.is_dpu_death() => {
+                Err(e) if self.fails_over(&e) => {
                     // Loud death on submit: fail over, then serve the
                     // request whose grant we hold on the host.
-                    ha_failover(
-                        &mut lease,
-                        &counters,
-                        &mut client,
-                        &mut pending,
-                        &mut inflight,
-                        &mut sched,
-                        &mut host,
-                        &done_rx,
-                        &trace,
-                        &tracer,
-                        epoch.elapsed().as_nanos() as u64,
-                    );
-                    ramp = None;
-                    ha_serve_host(&mut host, &mut sched, &counters, out.tenant, &out.item);
+                    self.failover();
+                    self.serve_host(&g);
                     break;
                 }
                 Err(e) => return Err(e),
             }
         }
-        // A dead lease has no client to poll (failover dropped it): the
-        // wait then parks on the hand-off channel, so host-direct service
-        // is as prompt as offload; a rejoin client is seen within a bound.
-        let drained = pending.is_none() && sched.queued() == 0 && inflight.is_empty();
-        let live = client
+        Ok(())
+    }
+
+    /// Hands one request to the RDMA client. The continuation answers the
+    /// xRPC slot and, for the layers that need it, stores the reply and
+    /// reports the completion.
+    fn submit(&mut self, g: &Granted, fabric: ForwardMode) -> Result<(), RpcError> {
+        let client = self
+            .client
             .as_mut()
-            .filter(|_| lease.state() != LeaseState::Dead);
-        let exit = match handoff.wait(live, drained) {
-            Ok(exit) => exit,
-            Err(e) if e.is_dpu_death() => {
-                ha_failover(
-                    &mut lease,
-                    &counters,
-                    &mut client,
-                    &mut pending,
-                    &mut inflight,
-                    &mut sched,
-                    &mut host,
-                    &done_rx,
-                    &trace,
-                    &tracer,
-                    epoch.elapsed().as_nanos() as u64,
-                );
-                ramp = None;
-                false
-            }
-            Err(e) => return Err(e),
-        };
-        while let Ok((seq, tenant)) = done_rx.try_recv() {
-            sched.complete(tenant);
-            inflight.remove(&seq);
-            completed_this_iter += 1;
-        }
-        // Lease maintenance: an iteration with completions (or nothing
-        // outstanding) renews; a silently wedged DPU stops renewing and
-        // the deadline machinery takes it to Suspect, then Dead.
-        let now_ns = epoch.elapsed().as_nanos() as u64;
-        if client.is_some() && matches!(lease.state(), LeaseState::Live | LeaseState::Suspect) {
-            if completed_this_iter > 0 || inflight.is_empty() {
-                hb_seq += 1;
-                lease.on_heartbeat(
-                    Heartbeat {
-                        seq: hb_seq,
-                        queue_depth: sched.queued() as u32,
-                        credits_in_use: inflight.len() as u32,
-                    },
-                    now_ns,
-                );
-            }
-            let prev = lease.state();
-            let cur = lease.poll(now_ns);
-            if prev != cur {
-                counters.lease_state.set(cur.gauge_code() as i64);
-            }
-            if cur == LeaseState::Dead {
-                if let Some(sink) = &trace {
-                    sink.record(Span {
-                        trace_id: 0,
-                        stage: stages::LEASE_WAIT,
-                        start_ns: tracer
-                            .now_ns()
-                            .saturating_sub(now_ns - lease.last_renewal_ns()),
-                        end_ns: tracer.now_ns(),
-                        bytes: lease.last_heartbeat().queue_depth as u64,
-                    });
+            .expect("a lease that is not Dead has a client");
+        let req = &g.req;
+        let resp_tx = req.resp_tx.clone();
+        let done = self
+            .done
+            .as_ref()
+            .map(|(tx, _)| (tx.clone(), self.next_seq, g.tenant));
+        let store = self.cache.as_ref().filter(|_| g.verdict.may_store());
+        let store = store
+            .and_then(|cache| ReplyStore::arm(cache, &req.tenant, req.proc_id, &req.wire))
+            .map(|store| {
+                let trace = self.trace.clone().map(|sink| (self.tracer.clone(), sink));
+                store.traced(trace, (1u64 << 49) | self.next_seq)
+            });
+        let epoch = self.epoch;
+        let cont: Continuation = match (done, store) {
+            // No layer needs to hear about the reply: the bare
+            // continuation, kept small — one is boxed per request.
+            (None, None) => Box::new(move |payload, status| {
+                let _ = resp_tx.send((status, payload.to_vec()));
+            }),
+            (done, store) => Box::new(move |payload, status| {
+                if let Some(store) = &store {
+                    store.on_reply(status, payload, epoch.elapsed().as_nanos() as u64);
                 }
-                ha_failover(
-                    &mut lease,
-                    &counters,
-                    &mut client,
-                    &mut pending,
-                    &mut inflight,
-                    &mut sched,
-                    &mut host,
-                    &done_rx,
-                    &trace,
-                    &tracer,
-                    now_ns,
-                );
-                ramp = None;
+                let _ = resp_tx.send((status, payload.to_vec()));
+                if let Some((done_tx, seq, tenant)) = &done {
+                    let _ = done_tx.send((*seq, *tenant));
+                }
+            }),
+        };
+        // Per-request routing needs the host to dispatch per request: the
+        // route's mode byte leads the forwarded metadata.
+        let routed = self.policy.as_ref().map(|_| match fabric {
+            ForwardMode::Offload => routed_metadata(MODE_NATIVE, &req.metadata),
+            ForwardMode::Forward => routed_metadata(MODE_SERIALIZED, &req.metadata),
+        });
+        let metadata = routed.as_deref().unwrap_or(&req.metadata);
+        match fabric {
+            ForwardMode::Offload => {
+                client.call_offloaded_md(req.proc_id, &req.wire, metadata, cont)
             }
-        }
-        counters
-            .lease_time_in_state
-            .set(lease.time_in_state_ns(now_ns) as i64);
-        if exit {
-            return Ok(());
+            ForwardMode::Forward => {
+                client.call_forwarded_md(req.proc_id, &req.wire, metadata, cont)
+            }
         }
     }
+
+    /// Bookkeeping for a request the RDMA client accepted: policy
+    /// feedback, spans, journal, rejoin ramp.
+    fn submitted(&mut self, g: Granted, fabric: ForwardMode) {
+        let client = self.client.as_mut().expect("submit just used it");
+        let req = &g.req;
+        if let (Some(policy), ForwardMode::Offload) = (&mut self.policy, fabric) {
+            // Feed the real work-unit counts of this DPU-side
+            // deserialization back into the cost estimates (one
+            // observation refreshes both routes' estimates).
+            if let Some((stats, used)) = client.take_deser_outcome() {
+                let now_ns = self.epoch.elapsed().as_nanos() as u64;
+                policy.observe_stats(req.proc_id, &stats, req.wire.len() as u64, used, now_ns);
+            }
+        }
+        if let (Some(sink), true) = (&self.trace, req.recv_ns != 0) {
+            if let Some(ctx) = client.rpc().last_trace_ctx() {
+                // Termination span: frame received on the xRPC side →
+                // committed into the outgoing block (exactly where the
+                // block_build span picks up); with a scheduler, the
+                // queueing delay inside it as well.
+                let sched_wait = self.sched.as_ref().map(|_| {
+                    let start_ns = ctx.begin_ns.saturating_sub(g.wait_ns);
+                    (stages::SCHED_WAIT, start_ns, ctx.begin_ns)
+                });
+                let class = match &self.policy {
+                    Some(p) => p.class_label(req.proc_id).unwrap_or("__unregistered"),
+                    None => proc_class(req.proc_id),
+                };
+                let route = fabric.route_label();
+                record_terminate(
+                    sink,
+                    ctx.trace_id,
+                    req,
+                    ctx.begin_ns,
+                    sched_wait,
+                    class,
+                    route,
+                );
+            }
+        }
+        self.next_seq += 1;
+        let Some(ha) = &mut self.ha else { return };
+        let now_ns = self.epoch.elapsed().as_nanos() as u64;
+        // An accepted probe halves the ramp stride; stride 1 means the
+        // DPU is carrying full traffic again.
+        let ramp_done = g.verdict.by == Authority::Ramp
+            && ha.ramp.as_mut().is_some_and(|r| r.on_probe_success());
+        ha.journal.insert(self.next_seq - 1, (now_ns, g));
+        if ramp_done {
+            ha.lease.complete_rejoin(now_ns);
+            ha.publish_lease_state(now_ns);
+            ha.rejoins.inc();
+            ha.ramp = None;
+            ha.hb_seq = 0;
+            let started_wall = ha.rejoin_started_wall;
+            self.event_span(stages::REJOIN, started_wall, 0);
+        }
+    }
+
+    /// Serves one request on the host-direct path and returns its
+    /// scheduler grant. Poison and unknown procedures answer
+    /// [`STATUS_QUARANTINED`], same as the DPU path.
+    fn serve_host(&mut self, g: &Granted) {
+        let ha = self
+            .ha
+            .as_mut()
+            .expect("host-direct routes exist only under the HA layer");
+        let mut out = Vec::new();
+        let host = &mut ha.layer.host;
+        let status = host
+            .dispatch(g.req.proc_id, &g.req.wire, &mut out)
+            .unwrap_or(STATUS_QUARANTINED);
+        let _ = g.req.resp_tx.send((status, out));
+        if let Some(sched) = &mut self.sched {
+            sched.complete(g.tenant);
+        }
+        ha.host_served.inc();
+    }
+
+    /// The whole-DPU failover: the lease goes Dead (also from mid-rejoin),
+    /// the cache is flushed, the dead client dropped (its continuations
+    /// die unfired, so each replayed request answers its xRPC slot exactly
+    /// once), the fabric credit window invalidated, and the held request
+    /// plus every in-flight one drained into the host path in order.
+    fn failover(&mut self) {
+        // Anything that completed before the death already returned its
+        // grant and left the journal: collect those first so they are not
+        // replayed.
+        self.return_grants();
+        let now_ns = self.now_ns();
+        let wall_start = self.tracer.now_ns();
+        let ha = self.ha.as_mut().expect("failover needs the HA layer");
+        if !ha.lease.abort_rejoin(now_ns) {
+            ha.lease.declare_dead(now_ns);
+        }
+        ha.ramp = None;
+        ha.failovers.inc();
+        ha.publish_lease_state(now_ns);
+        precedence::flush_on_fault(self.cache.as_ref());
+        self.client = None;
+        if let Some(sched) = &self.sched {
+            // The credit window tracked blocks the dead DPU will never ack.
+            sched.fabric().reset();
+        }
+        let journal = std::mem::take(&mut ha.journal);
+        let replayed = journal.len() as u64;
+        ha.replayed.inc_by(replayed);
+        let held = self.pending.take();
+        for g in held.iter().chain(journal.values().map(|(_, g)| g)) {
+            self.serve_host(g);
+        }
+        self.event_span(stages::FAILOVER, wall_start, replayed);
+    }
+
+    /// Lease maintenance. Live/Suspect: an iteration with completions (or
+    /// nothing outstanding) renews; a silently wedged DPU stops renewing
+    /// and the deadline takes it to Suspect, then Dead. Rejoining: the
+    /// monitor leaves that state only on an explicit verdict, so a DPU
+    /// that wedges mid-ramp is caught here — a probe outstanding past the
+    /// lease deadline aborts the rejoin. Either way the failover replays
+    /// what was in flight.
+    fn lease_upkeep(&mut self, completed: u64) {
+        let Some(ha) = &mut self.ha else { return };
+        let now_ns = self.epoch.elapsed().as_nanos() as u64;
+        let silent_ns = match ha.lease.state() {
+            LeaseState::Live | LeaseState::Suspect => {
+                if completed > 0 || ha.journal.is_empty() {
+                    ha.hb_seq += 1;
+                    let hb = Heartbeat {
+                        seq: ha.hb_seq,
+                        queue_depth: self.sched.as_ref().map_or(0, |s| s.queued()) as u32,
+                        credits_in_use: ha.journal.len() as u32,
+                    };
+                    ha.lease.on_heartbeat(hb, now_ns);
+                }
+                let cur = ha.lease.poll(now_ns);
+                (cur == LeaseState::Dead).then(|| now_ns.saturating_sub(ha.lease.last_renewal_ns()))
+            }
+            LeaseState::Rejoining => {
+                let deadline_ns = ha.layer.config.lease.deadline().as_nanos() as u64;
+                let oldest = ha.journal.values().next();
+                oldest
+                    .map(|(submitted_ns, _)| now_ns.saturating_sub(*submitted_ns))
+                    .filter(|&age_ns| age_ns >= deadline_ns)
+            }
+            LeaseState::Dead => None,
+        };
+        ha.publish_lease_state(now_ns);
+        if let Some(silent_ns) = silent_ns {
+            // Detection latency: last sign of life → declaration.
+            let since = self.tracer.now_ns().saturating_sub(silent_ns);
+            let depth = ha.lease.last_heartbeat().queue_depth as u64;
+            self.event_span(stages::LEASE_WAIT, since, depth);
+            self.failover();
+        }
+    }
+
+    /// Records a connection-level event (trace id 0) from `start_ns` to now.
+    fn event_span(&self, stage: &'static str, start_ns: u64, bytes: u64) {
+        if let Some(sink) = &self.trace {
+            sink.record(Span {
+                trace_id: 0,
+                stage,
+                start_ns,
+                end_ns: self.tracer.now_ns(),
+                bytes,
+            });
+        }
+    }
+
+    /// The poller's one blocking point: sleeps where the next event will
+    /// come from (the `poll()` sleep of §III.C). When the loop holds no
+    /// backlog, queued request or grant of its own and the RDMA side is
+    /// quiescent — or there is no client at all, after a failover — no
+    /// completion can be next, so this parks on the hand-off channel (host-
+    /// direct service is as prompt as offload); otherwise it waits on the
+    /// completion queue. After parking it still runs a zero-timeout event-
+    /// loop pass, so whatever reached the completion queue meanwhile (a
+    /// `CACHE_INVALIDATE`, say) is applied before the woken request is
+    /// classified. Returns `true` when the poller should exit: stopped,
+    /// and nothing left anywhere.
+    fn wait(&mut self) -> Result<bool, RpcError> {
+        let drained = self.pending.is_none()
+            && self.queued() == 0
+            && self.ha.as_ref().is_none_or(|ha| ha.journal.is_empty());
+        let client = &mut self.client;
+        let park = client
+            .as_mut()
+            .is_none_or(|c| drained && c.rpc().is_quiescent());
+        let mut cq_wait = IDLE_WAIT_BOUND;
+        if park {
+            let woken = self.rx.recv_timeout(IDLE_WAIT_BOUND);
+            // With every sender gone the receive returns at once: wait out
+            // the bound below instead of spinning.
+            if !matches!(woken, Err(RecvTimeoutError::Disconnected)) {
+                cq_wait = Duration::ZERO;
+            }
+            self.woken = woken.ok();
+        }
+        match client.as_mut().map(|c| c.event_loop(cq_wait)) {
+            Some(Err(e)) if self.fails_over(&e) => {
+                self.failover();
+                return Ok(false);
+            }
+            Some(polled) => drop(polled?),
+            // No completion queue either (dead lease), and with the
+            // channel disconnected no request can come: sit out the bound.
+            None => std::thread::park_timeout(cq_wait),
+        }
+        let idle = |c: &mut OffloadClient| c.rpc().outstanding() == 0;
+        Ok(drained
+            && self.woken.is_none()
+            && self.stop.load(Ordering::Acquire)
+            && self.client.as_mut().is_none_or(idle)
+            && self.rx.is_empty())
+    }
+}
+
+/// Records what a traced request gets at the terminator: `terminate`
+/// (xRPC receive → `end_ns`), the stage that came with it (`also`:
+/// `sched_wait` before a submit, `cache_hit` on a hit) and its labels.
+fn record_terminate(
+    sink: &SpanSink,
+    trace_id: u64,
+    req: &ForwardRequest,
+    end_ns: u64,
+    also: Option<(&'static str, u64, u64)>,
+    class: &str,
+    route: &str,
+) {
+    let bytes = req.wire.len() as u64;
+    if let Some((stage, start_ns, end_ns)) = also {
+        sink.record(Span {
+            trace_id,
+            stage,
+            start_ns,
+            end_ns,
+            bytes,
+        });
+    }
+    sink.record(Span {
+        trace_id,
+        stage: stages::TERMINATE,
+        start_ns: req.recv_ns,
+        end_ns,
+        bytes,
+    });
+    sink.annotate(trace_id, Some(&req.tenant), Some(class), Some(route));
 }
 
 #[cfg(test)]
@@ -1473,11 +1053,11 @@ mod tests {
     use crate::compat::{CompatServer, PayloadMode};
     use crate::service::ServiceSchema;
     use pbo_grpc::GrpcChannel;
-    use pbo_metrics::Registry;
     use pbo_protowire::encode_message;
     use pbo_protowire::workloads::{gen_small, paper_schema};
     use pbo_rpcrdma::{establish, Config};
-    use pbo_simnet::Fabric;
+    use pbo_sched::SchedConfig;
+    use pbo_simnet::{Fabric, FaultKind};
 
     /// Full Figure 1 topology: xRPC client → (TCP) → DPU terminator →
     /// (RDMA) → host compat server.
@@ -1513,7 +1093,8 @@ mod tests {
             server
         });
 
-        let terminator = XrpcTerminator::spawn(&tcp, "dpu:50051", client, ForwardMode::Offload);
+        let layers = Layers::new(ForwardMode::Offload);
+        let terminator = XrpcTerminator::spawn(&tcp, "dpu:50051", client, layers);
 
         // Plain xRPC client pointed at the DPU's address (§III.A: only the
         // address changes).
@@ -1533,74 +1114,98 @@ mod tests {
         assert_eq!(server.snapshot().requests, 25);
     }
 
+    /// One DPU incarnation for the HA tests: an offload client plus its
+    /// host-side server (procedure 1, empty logic), not yet polled.
+    fn incarnation(
+        rdma: &Fabric,
+        registry: &Registry,
+        label: &str,
+    ) -> (OffloadClient, CompatServer) {
+        let bundle = ServiceSchema::paper_bench();
+        let cfg = Config::test_small();
+        let ep = establish(rdma, cfg, cfg, registry, label, Some(&bundle.adt_bytes()));
+        let client =
+            OffloadClient::new(ep.client, bundle.clone(), ep.control_blob.as_deref()).unwrap();
+        let mut server = CompatServer::new(ep.server, PayloadMode::Native);
+        server.register_empty_logic(&bundle, 1);
+        (client, server)
+    }
+
+    /// Polls `server` until told to stop. `crashes` marks the incarnation
+    /// a test kills: only that one may see event-loop errors (the QP
+    /// poison a DPU crash leaves behind); a healthy one must see none.
+    fn host_thread(
+        mut server: CompatServer,
+        crashes: bool,
+    ) -> (Arc<AtomicBool>, std::thread::JoinHandle<CompatServer>) {
+        let stop = Arc::new(AtomicBool::new(false));
+        let hs = stop.clone();
+        let host = std::thread::spawn(move || {
+            while !hs.load(Ordering::Acquire) {
+                match server.event_loop(Duration::from_millis(1)) {
+                    Err(_) if crashes => std::thread::sleep(Duration::from_millis(1)),
+                    polled => drop(polled.unwrap()),
+                }
+            }
+            server
+        });
+        (stop, host)
+    }
+
+    /// A scheduled HA terminator at `addr` (2 ms × 2 lease, ramp stride 4,
+    /// metrics under `conn="ha"`) over `client`, and the sender that hands
+    /// it a restarted DPU's client.
+    fn ha_terminator(
+        tcp: &TcpFabric,
+        addr: &str,
+        client: OffloadClient,
+        registry: &Arc<Registry>,
+    ) -> (XrpcTerminator, Sender<OffloadClient>) {
+        // Host-direct fallback running the same (empty) business logic.
+        let mut host = HostDirect::new();
+        host.register(&ServiceSchema::paper_bench(), 1, Arc::new(|_view, _out| 0));
+        let (rejoin_tx, rejoin_rx) = unbounded::<OffloadClient>();
+        let layers = Layers {
+            sched: Some(TenantScheduler::new(SchedConfig {
+                credit_window: Config::test_small().credits,
+                inflight_per_credit: 4,
+                ..SchedConfig::default()
+            })),
+            ha: Some(HaLayer {
+                host,
+                rejoin_rx,
+                config: HaConfig {
+                    lease: LeaseConfig {
+                        interval: Duration::from_millis(2),
+                        miss_threshold: 2,
+                    },
+                    rejoin_probe_stride: 4,
+                },
+                registry: registry.clone(),
+            }),
+            conn_label: "ha".to_string(),
+            ..Layers::new(ForwardMode::Offload)
+        };
+        (XrpcTerminator::spawn(tcp, addr, client, layers), rejoin_tx)
+    }
+
+    const HA: [(&str, &str); 1] = [("conn", "ha")];
+
     /// Whole-DPU failure domain end to end: xRPC traffic flows through
     /// the offload path, the DPU dies loudly mid-run, every call keeps
     /// being answered (host-direct fallback), and a freshly established
     /// client handed through the rejoin channel restores full offload.
     #[test]
-    fn ha_terminator_survives_dpu_crash_and_rejoins() {
-        use pbo_sched::SchedConfig;
-        use pbo_simnet::FaultKind;
-
-        let bundle = ServiceSchema::paper_bench();
+    fn ha_layer_survives_dpu_crash_and_rejoins() {
         let rdma = Fabric::new();
         let tcp = TcpFabric::new();
-        let registry = Registry::new();
-        let adt_bytes = bundle.adt_bytes();
-        let cfg = Config::test_small();
-        let ep = establish(&rdma, cfg, cfg, &registry, "ha", Some(&adt_bytes));
-        let client =
-            OffloadClient::new(ep.client, bundle.clone(), ep.control_blob.as_deref()).unwrap();
-        let mut server = CompatServer::new(ep.server, PayloadMode::Native);
-        server.register_empty_logic(&bundle, 1);
+        let registry = Arc::new(Registry::new());
+        let (client, server) = incarnation(&rdma, &registry, "ha");
+        let (host1_stop, host1) = host_thread(server, true);
+        let (terminator, rejoin_tx) = ha_terminator(&tcp, "dpu:50052", client, &registry);
 
-        // Host poller for the first incarnation: tolerant of the QP
-        // poison the crash leaves behind.
-        let host1_stop = Arc::new(AtomicBool::new(false));
-        let hs = host1_stop.clone();
-        let host1 = std::thread::spawn(move || {
-            while !hs.load(Ordering::Acquire) {
-                if server.event_loop(Duration::from_millis(1)).is_err() {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            }
-        });
-
-        // Host-direct fallback running the same (empty) business logic.
-        let mut host = HostDirect::new();
-        host.register(&bundle, 1, Arc::new(|_view, _out| 0));
-
-        let sched: TenantScheduler<ForwardRequest> = TenantScheduler::new(SchedConfig {
-            credit_window: cfg.credits,
-            inflight_per_credit: 4,
-            ..SchedConfig::default()
-        });
-        let (rejoin_tx, rejoin_rx) = unbounded::<OffloadClient>();
-        let ha = HaConfig {
-            lease: pbo_rpcrdma::LeaseConfig {
-                interval: Duration::from_millis(2),
-                miss_threshold: 2,
-            },
-            rejoin_probe_stride: 4,
-        };
-        let terminator = XrpcTerminator::spawn_ha(
-            &tcp,
-            "dpu:50052",
-            client,
-            ForwardMode::Offload,
-            sched,
-            host,
-            rejoin_rx,
-            ha,
-            &registry,
-            &Tracer::disabled(),
-            "ha",
-        );
-
-        let schema = paper_schema();
-        let wire = encode_message(&gen_small(&schema));
+        let wire = encode_message(&gen_small(&paper_schema()));
         let mut ch = GrpcChannel::connect(&tcp, "dpu:50052").unwrap();
-        let labels = [("conn", "ha")];
 
         // Healthy offload phase.
         for _ in 0..10 {
@@ -1608,7 +1213,7 @@ mod tests {
             assert_eq!(status, 0);
         }
         assert_eq!(
-            registry.counter_value("terminator_failovers_total", &labels),
+            registry.counter_value("terminator_failovers_total", &HA),
             Some(0)
         );
 
@@ -1620,12 +1225,12 @@ mod tests {
             assert_eq!(status, 0);
         }
         assert_eq!(
-            registry.counter_value("terminator_failovers_total", &labels),
+            registry.counter_value("terminator_failovers_total", &HA),
             Some(1)
         );
         assert!(
             registry
-                .counter_value("terminator_host_served_total", &labels)
+                .counter_value("terminator_host_served_total", &HA)
                 .unwrap()
                 > 0
         );
@@ -1633,32 +1238,21 @@ mod tests {
         // Restarted DPU: a fresh establishment re-ships the ADT and
         // re-verifies digests; the rejoin channel hands it over and the
         // probe ramp restores full offload.
-        let ep2 = establish(&rdma, cfg, cfg, &registry, "ha2", Some(&adt_bytes));
-        let client2 =
-            OffloadClient::new(ep2.client, bundle.clone(), ep2.control_blob.as_deref()).unwrap();
-        let mut server2 = CompatServer::new(ep2.server, PayloadMode::Native);
-        server2.register_empty_logic(&bundle, 1);
-        let host2_stop = Arc::new(AtomicBool::new(false));
-        let hs2 = host2_stop.clone();
-        let host2 = std::thread::spawn(move || {
-            while !hs2.load(Ordering::Acquire) {
-                server2.event_loop(Duration::from_millis(1)).unwrap();
-            }
-            server2
-        });
+        let (client2, server2) = incarnation(&rdma, &registry, "ha2");
+        let (host2_stop, host2) = host_thread(server2, false);
         rejoin_tx.send(client2).unwrap();
 
         let mut rejoined_after = 0;
         for i in 0..400 {
             let (status, _) = ch.call_raw(1, &wire).unwrap();
             assert_eq!(status, 0);
-            if registry.counter_value("terminator_rejoins_total", &labels) == Some(1) {
+            if registry.counter_value("terminator_rejoins_total", &HA) == Some(1) {
                 rejoined_after = i;
                 break;
             }
         }
         assert_eq!(
-            registry.counter_value("terminator_rejoins_total", &labels),
+            registry.counter_value("terminator_rejoins_total", &HA),
             Some(1),
             "rejoin never completed"
         );
@@ -1668,7 +1262,7 @@ mod tests {
             assert_eq!(status, 0);
         }
         assert_eq!(
-            registry.gauge_value("terminator_lease_state", &labels),
+            registry.gauge_value("terminator_lease_state", &HA),
             Some(0),
             "lease should be Live after rejoin (probed after {rejoined_after} calls)"
         );
@@ -1682,6 +1276,65 @@ mod tests {
             server2.snapshot().requests > 0,
             "second incarnation served offloaded requests"
         );
+    }
+
+    /// A restarted DPU that wedges silently *during* the rejoin ramp (its
+    /// host side never polls, no transport error is ever raised) must not
+    /// strand the ramp's probes: the probe outstanding past the lease
+    /// deadline aborts the rejoin, is replayed host-side, and the poller
+    /// still joins.
+    #[test]
+    fn ha_layer_survives_wedge_mid_rejoin() {
+        let rdma = Fabric::new();
+        let tcp = TcpFabric::new();
+        let registry = Arc::new(Registry::new());
+        let (client, server) = incarnation(&rdma, &registry, "ha");
+        let (host1_stop, host1) = host_thread(server, true);
+        let (terminator, rejoin_tx) = ha_terminator(&tcp, "dpu:50053", client, &registry);
+
+        let wire = encode_message(&gen_small(&paper_schema()));
+        let mut ch = GrpcChannel::connect(&tcp, "dpu:50053").unwrap();
+        for _ in 0..10 {
+            assert_eq!(ch.call_raw(1, &wire).unwrap().0, 0);
+        }
+        rdma.faults().fail_nth(0, FaultKind::DpuCrash);
+        for _ in 0..10 {
+            assert_eq!(ch.call_raw(1, &wire).unwrap().0, 0);
+        }
+        assert_eq!(registry.gauge_value("terminator_lease_state", &HA), Some(2));
+
+        // The second incarnation is handed over but its server is never
+        // polled: every probe the ramp sends it goes unanswered.
+        let (client2, _wedged_server) = incarnation(&rdma, &registry, "ha2");
+        rejoin_tx.send(client2).unwrap();
+        let (done_tx, done_rx) = bounded(1);
+        let caller = std::thread::spawn(move || {
+            for _ in 0..20 {
+                assert_eq!(ch.call_raw(1, &wire).unwrap().0, 0);
+            }
+            done_tx.send(()).unwrap();
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a call after the hand-over never returned");
+        caller.join().unwrap();
+        assert_eq!(
+            registry.gauge_value("terminator_lease_state", &HA),
+            Some(2),
+            "the wedged rejoin must fall back to Dead"
+        );
+        assert_eq!(
+            registry.counter_value("terminator_failovers_total", &HA),
+            Some(2)
+        );
+        assert_eq!(
+            registry.counter_value("terminator_rejoins_total", &HA),
+            Some(0)
+        );
+
+        terminator.shutdown().unwrap();
+        host1_stop.store(true, Ordering::Release);
+        host1.join().unwrap();
     }
 
     #[test]
@@ -1708,12 +1361,13 @@ mod tests {
                 server.event_loop(Duration::from_millis(1)).unwrap();
             }
         });
-        let terminator = XrpcTerminator::spawn(&tcp, "dpu:1", client, ForwardMode::Offload);
+        let layers = Layers::new(ForwardMode::Offload);
+        let terminator = XrpcTerminator::spawn(&tcp, "dpu:1", client, layers);
         let mut ch = GrpcChannel::connect(&tcp, "dpu:1").unwrap();
         // Invalid UTF-8 string for CharArray (method 3): rejected on the
         // DPU during deserialization.
         let (status, _) = ch.call_raw(3, &[0x0a, 0x02, 0xC0, 0xAF]).unwrap();
-        assert_eq!(status, 3);
+        assert_eq!(status, STATUS_QUARANTINED);
         // The connection still serves good requests afterwards.
         let schema = paper_schema();
         let mut rng = pbo_protowire::workloads::Mt19937::new(2);

@@ -18,7 +18,7 @@
 
 use parking_lot::Mutex;
 use pbo_core::compat::PayloadMode;
-use pbo_core::terminator::{ForwardMode, XrpcTerminator};
+use pbo_core::terminator::{ForwardMode, Layers, XrpcTerminator};
 use pbo_core::{CompatServer, OffloadClient, ServiceSchema};
 use pbo_grpc::{GrpcChannel, ServiceDescriptor};
 use pbo_metrics::Registry;
@@ -126,7 +126,8 @@ fn main() {
     });
 
     // DPU terminator: binds the xRPC address and owns the RDMA poller.
-    let terminator = XrpcTerminator::spawn(&tcp, "dpu:50051", dpu, ForwardMode::Offload);
+    let terminator =
+        XrpcTerminator::spawn(&tcp, "dpu:50051", dpu, Layers::new(ForwardMode::Offload));
 
     // 4 ordinary xRPC clients hammer the store.
     let kv_schema = bundle.schema().clone();

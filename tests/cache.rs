@@ -16,7 +16,7 @@
 //!   invalidations racing crashes (exactly-once continuations).
 
 use pbo_core::compat::PayloadMode;
-use pbo_core::terminator::{ForwardMode, ForwardRequest};
+use pbo_core::terminator::{ForwardMode, ForwardRequest, Layers};
 use pbo_core::{
     CacheConfig, CompatServer, OffloadClient, ResilientSession, ResponseCache, SchedConfig,
     ServiceSchema, SessionConfig, StoreOutcome, TenantScheduler, TenantSpec, XrpcTerminator,
@@ -547,16 +547,14 @@ fn terminator_hits_short_circuit_the_datapath_with_pure_traces() {
     let cache = ResponseCache::new(CacheConfig::default());
     cache.bind_metrics(&registry);
     cache.declare_default(1);
-    let terminator = XrpcTerminator::spawn_cached(
-        &tcp,
-        "dpu:tc",
-        client,
-        ForwardMode::Offload,
-        sched,
-        cache.clone(),
-        &tracer,
-        "tc",
-    );
+    let layers = Layers {
+        sched: Some(sched),
+        cache: Some(cache.clone()),
+        tracer: tracer.clone(),
+        conn_label: "tc".to_string(),
+        ..Layers::new(ForwardMode::Offload)
+    };
+    let terminator = XrpcTerminator::spawn(&tcp, "dpu:tc", client, layers);
 
     let wire = encode_message(&gen_small(&paper_schema()));
     let mut ch = GrpcChannel::connect(&tcp, "dpu:tc").unwrap();
@@ -661,16 +659,13 @@ fn terminator_applies_host_invalidations_before_lookups() {
     let cache = ResponseCache::new(CacheConfig::default());
     cache.bind_metrics(&registry);
     cache.declare_default(1); // class 2 stays uncacheable
-    let terminator = XrpcTerminator::spawn_cached(
-        &tcp,
-        "dpu:ti",
-        client,
-        ForwardMode::Offload,
-        sched,
-        cache.clone(),
-        &Tracer::disabled(),
-        "ti",
-    );
+    let layers = Layers {
+        sched: Some(sched),
+        cache: Some(cache.clone()),
+        conn_label: "ti".to_string(),
+        ..Layers::new(ForwardMode::Offload)
+    };
+    let terminator = XrpcTerminator::spawn(&tcp, "dpu:ti", client, layers);
 
     let wire_a = encode_message(&gen_small(&paper_schema()));
     let mut rng = Mt19937::new(7);

@@ -1,7 +1,7 @@
 //! Integration: the complete Figure-1 topology across all crates.
 
 use pbo_core::compat::PayloadMode;
-use pbo_core::terminator::{ForwardMode, XrpcTerminator};
+use pbo_core::terminator::{ForwardMode, Layers, XrpcTerminator};
 use pbo_core::{CompatServer, OffloadClient, ServiceSchema};
 use pbo_grpc::GrpcChannel;
 use pbo_metrics::Registry;
@@ -50,7 +50,7 @@ fn launch(mode: ForwardMode, payload_mode: PayloadMode) -> Stack {
         while server.event_loop(Duration::ZERO).expect("drain") > 0 {}
         server.snapshot()
     });
-    let terminator = XrpcTerminator::spawn(&tcp, "dpu:1", client, mode);
+    let terminator = XrpcTerminator::spawn(&tcp, "dpu:1", client, Layers::new(mode));
     Stack {
         terminator,
         tcp,
@@ -179,7 +179,8 @@ fn metadata_is_forwarded_to_host_handlers() {
             server.event_loop(Duration::from_millis(1)).unwrap();
         }
     });
-    let terminator = XrpcTerminator::spawn(&tcp, "dpu:md", client, ForwardMode::Offload);
+    let terminator =
+        XrpcTerminator::spawn(&tcp, "dpu:md", client, Layers::new(ForwardMode::Offload));
 
     let schema = paper_schema();
     let wire = encode_message(&gen_small(&schema));

@@ -16,7 +16,7 @@
 
 use crossbeam::channel::{bounded, Receiver};
 use pbo_core::compat::PayloadMode;
-use pbo_core::terminator::{poller_loop_scheduled, ForwardMode, ForwardRequest, XrpcTerminator};
+use pbo_core::terminator::{run_poller, ForwardMode, ForwardRequest, Layers, XrpcTerminator};
 use pbo_core::{
     CompatServer, OffloadClient, ResilientSession, SchedConfig, ServiceSchema, SessionConfig,
     TenantScheduler, TenantSpec, STATUS_SHED,
@@ -27,7 +27,6 @@ use pbo_protowire::encode_message;
 use pbo_protowire::workloads::{gen_small, paper_schema, Mt19937};
 use pbo_rpcrdma::{establish, Config, RetryClass, RpcError};
 use pbo_simnet::{Fabric, FaultKind, TcpFabric};
-use pbo_trace::Tracer;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -99,7 +98,11 @@ impl ScheduledStack {
         let (go, go_rx) = bounded::<()>(1);
         let poller = std::thread::spawn(move || {
             let _ = go_rx.recv();
-            poller_loop_scheduled(client, rx, ForwardMode::Offload, stop2, None, sched)
+            let layers = Layers {
+                sched: Some(sched),
+                ..Layers::new(ForwardMode::Offload)
+            };
+            run_poller(client, rx, stop2, layers)
         });
         Self {
             tx,
@@ -436,15 +439,12 @@ fn tenant_metadata_flows_to_host_dispatch_counters() {
 
     let mut sched: TenantScheduler<ForwardRequest> = TenantScheduler::new(pair_cfg());
     sched.bind_metrics(&registry);
-    let terminator = XrpcTerminator::spawn_scheduled(
-        &tcp,
-        "dpu:mt",
-        client,
-        ForwardMode::Offload,
-        sched,
-        &Tracer::disabled(),
-        "e2e",
-    );
+    let layers = Layers {
+        sched: Some(sched),
+        conn_label: "e2e".to_string(),
+        ..Layers::new(ForwardMode::Offload)
+    };
+    let terminator = XrpcTerminator::spawn(&tcp, "dpu:mt", client, layers);
 
     let wire = encode_message(&gen_small(&paper_schema()));
     let mut ch = GrpcChannel::connect(&tcp, "dpu:mt").unwrap();

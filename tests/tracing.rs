@@ -6,7 +6,7 @@
 //! determinism) and per-stage histograms in a bound metrics registry.
 
 use pbo_core::compat::PayloadMode;
-use pbo_core::terminator::ForwardMode;
+use pbo_core::terminator::{ForwardMode, Layers};
 use pbo_core::{
     run_scenario_traced, CompatServer, OffloadClient, ScenarioConfig, ScenarioKind, ServiceSchema,
     XrpcTerminator,
@@ -66,10 +66,14 @@ fn traced_request_produces_full_span_chain() {
         }
     });
 
-    // spawn_traced attaches the tracer to the client under the same
-    // connection label the server used, then serves xRPC as usual.
-    let terminator =
-        XrpcTerminator::spawn_traced(&tcp, "dpu:tr", client, ForwardMode::Offload, &tracer, "c0");
+    // spawn attaches the tracer to the client under the same connection
+    // label the server used, then serves xRPC as usual.
+    let layers = Layers {
+        tracer: tracer.clone(),
+        conn_label: "c0".to_string(),
+        ..Layers::new(ForwardMode::Offload)
+    };
+    let terminator = XrpcTerminator::spawn(&tcp, "dpu:tr", client, layers);
     let wire = encode_message(&gen_small(&paper_schema()));
     let mut ch = GrpcChannel::connect(&tcp, "dpu:tr").unwrap();
     for _ in 0..8 {
