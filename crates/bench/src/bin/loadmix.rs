@@ -703,7 +703,7 @@ fn run_pass(
     let mut server = CompatServer::new(ep.server, PayloadMode::Native);
     server.set_deser_throttle(Some(scale));
     for c in classes {
-        server.register_degradable_md(
+        server.register_degradable(
             &bundle,
             c.proc_id,
             Arc::new(|_md, view, _out| {

@@ -237,56 +237,22 @@ impl CompatServer {
         );
     }
 
-    /// Registers a typed handler that serves **both** payload forms,
-    /// routed per request by the first metadata byte: [`MODE_NATIVE`]
-    /// payloads are viewed in place (the DPU built the object), while
-    /// [`MODE_SERIALIZED`] payloads are deserialized here on the host —
-    /// the degraded path the offload circuit breaker falls back to when
-    /// DPU-side deserialization keeps failing. The business logic is
-    /// byte-for-byte identical either way.
-    ///
-    /// Requires [`PayloadMode::Native`]: degradation is per request, not
-    /// per connection.
-    pub fn register_degradable(
-        &mut self,
-        bundle: &ServiceSchema,
-        proc_id: u16,
-        handler: NativeHandler,
-    ) {
-        assert_eq!(
-            self.mode,
-            PayloadMode::Native,
-            "degradable handlers route per request; the server stays native"
-        );
-        let mut m = Materializer::new(self, bundle, proc_id);
-        self.rpc.register(
-            proc_id,
-            Box::new(move |req, sink| {
-                if req.metadata.first() == Some(&MODE_SERIALIZED) {
-                    m.deserialize_then_view(req.payload, sink, |view, out| handler(view, out))
-                } else {
-                    m.view_in_place(req, sink, |view, out| handler(view, out))
-                }
-            }),
-        );
-    }
-
     /// Registers a typed metadata-aware handler that serves **both**
-    /// payload forms, routed per request by the first metadata byte —
-    /// the server-side half of the adaptive per-class offload policy's
-    /// dispatch. [`MODE_NATIVE`] payloads are viewed in place (the DPU
-    /// built the object); [`MODE_SERIALIZED`] payloads are deserialized
-    /// here on the host with the same hardened budgets, quarantine
-    /// counting, and scratch-arena layout as every other host arm — a
-    /// class the policy routes to the host loses no robustness
-    /// semantics. Bytes after the mode byte carry the encoded call
-    /// metadata (build them with [`routed_metadata`]); an absent tail
-    /// decodes as empty metadata. Per-tenant dispatch is counted either
-    /// way.
+    /// payload forms, routed per request by the first metadata byte:
+    /// [`MODE_NATIVE`] payloads are viewed in place (the DPU built the
+    /// object), while [`MODE_SERIALIZED`] payloads are deserialized here on
+    /// the host with the same hardened budgets, quarantine counting and
+    /// scratch-arena layout as every other host arm — the path the offload
+    /// circuit breaker degrades to and the adaptive policy routes
+    /// host-favoured classes over. The business logic is byte-for-byte
+    /// identical either way. Bytes after the mode byte carry the encoded
+    /// call metadata (build them with [`routed_metadata`]); an absent tail
+    /// — all [`crate::ResilientSession`] sends — decodes as empty
+    /// metadata. Per-tenant dispatch is counted either way.
     ///
     /// Requires [`PayloadMode::Native`]: routing is per request, not per
     /// connection.
-    pub fn register_degradable_md(
+    pub fn register_degradable(
         &mut self,
         bundle: &ServiceSchema,
         proc_id: u16,
@@ -295,7 +261,7 @@ impl CompatServer {
         assert_eq!(
             self.mode,
             PayloadMode::Native,
-            "route-dispatched handlers decide per request; the server stays native"
+            "degradable handlers route per request; the server stays native"
         );
         let mut m = Materializer::new(self, bundle, proc_id);
         let tenant_reg = self.tenant_reg.clone();
@@ -408,11 +374,19 @@ impl CompatServer {
     }
 }
 
-/// gRPC `INTERNAL`: the call metadata section would not decode.
-const STATUS_CORRUPT_METADATA: u16 = 13;
 /// gRPC-side status of a request whose payload would not materialize
 /// (host-side deserialization failure or an unmappable native object).
 const STATUS_UNMATERIALIZED: u16 = 2;
+/// gRPC `INVALID_ARGUMENT`: delivered for a quarantined (poison) request.
+pub const STATUS_QUARANTINED: u16 = 3;
+/// gRPC `UNIMPLEMENTED`: no handler anywhere can serve the procedure.
+pub const STATUS_UNIMPLEMENTED: u16 = 12;
+/// gRPC `INTERNAL`: the call metadata section would not decode.
+const STATUS_CORRUPT_METADATA: u16 = 13;
+/// gRPC `UNAVAILABLE`: the terminator's poller is gone.
+pub const STATUS_UNAVAILABLE: u16 = 14;
+/// gRPC `UNAUTHENTICATED`: the terminator rejected the call's metadata.
+pub const STATUS_UNAUTHENTICATED: u16 = 16;
 
 /// Decodes the call metadata section (empty = none) and counts the
 /// dispatch against its tenant; `None` when the bytes are corrupt.
@@ -542,8 +516,7 @@ fn request_class(
 /// cost model); view the object with
 /// `NativeObject::from_slice(adt, class, &scratch[skew..], root_offset)`.
 /// Shared by the baseline arm of [`CompatServer::register_native`] and the
-/// degraded arms of [`CompatServer::register_degradable`] /
-/// [`CompatServer::register_degradable_md`].
+/// degraded arm of [`CompatServer::register_degradable`].
 fn host_deserialize(
     adt: &pbo_adt::Adt,
     schema: &pbo_protowire::Schema,
@@ -574,7 +547,7 @@ fn host_deserialize(
 
 /// Builds the wire metadata of a route-dispatched call: the route mode
 /// byte ([`MODE_NATIVE`] or [`MODE_SERIALIZED`]) followed by the
-/// already-encoded call metadata. [`CompatServer::register_degradable_md`]
+/// already-encoded call metadata. [`CompatServer::register_degradable`]
 /// decodes the same layout on the host.
 pub fn routed_metadata(mode: u8, md: &[u8]) -> Vec<u8> {
     let mut v = Vec::with_capacity(1 + md.len());
@@ -939,7 +912,7 @@ mod tests {
         server.bind_tenant_metrics(&registry);
         let seen = Arc::new(AtomicU64::new(0));
         let s2 = seen.clone();
-        server.register_degradable_md(
+        server.register_degradable(
             &bundle,
             1,
             Arc::new(move |md, view, _out| {

@@ -12,8 +12,8 @@
 //!    [`crate::ResilientSession`]).
 //! 2. **Bounded failover latency**: the lease declares the device Dead
 //!    within its deadline (`interval × miss_threshold`) plus one
-//!    explorer step of *virtual* time — loud deaths are immediate,
-//!    silent wedges are caught by the deadline machinery.
+//!    explorer step of *virtual* time, in every phase — loud deaths are
+//!    immediate, silent wedges are caught by the deadline machinery.
 //! 3. **Full recovery**: after the device restarts, the warm rejoin
 //!    returns the lease to Live and traffic to the offload path.
 //!
@@ -38,7 +38,7 @@
 //! | `response` | device wedges with the response delivered but undrained |
 
 use crate::service::ServiceSchema;
-use crate::session::{ResilientSession, SessionConfig};
+use crate::session::{ResilientSession, SessionConfig, SessionLayers};
 use pbo_metrics::Registry;
 use pbo_protowire::encode_message;
 use pbo_protowire::workloads::{gen_char_array, gen_small, paper_schema, Mt19937};
@@ -223,17 +223,12 @@ impl CrashLab {
         self.lease.deadline().as_nanos() as u64
     }
 
-    /// The stated detection-latency bound for a schedule. Steady and
-    /// post-recovery crashes must be detected within one lease deadline
-    /// plus one driver step; a crash *during* a rejoin handshake is only
-    /// observable once the ramp's probes resume, which costs at most one
-    /// more deadline plus the probe round-trips.
-    pub fn latency_bound_ns(&self, phase: RecoveryPhase) -> u64 {
-        let base = self.deadline_ns() + self.step_ns;
-        match phase {
-            RecoveryPhase::Steady | RecoveryPhase::PostRecovery => base,
-            RecoveryPhase::Rejoining => 2 * base + 2 * self.step_ns,
-        }
+    /// The stated detection-latency bound, the same in every phase: one
+    /// lease deadline plus one driver step. Mid-rejoin the renewal silence
+    /// is not observable (the lease is not being renewed to begin with),
+    /// but the stranded probe's age is, by ticks alone.
+    pub fn latency_bound_ns(&self) -> u64 {
+        self.deadline_ns() + self.step_ns
     }
 
     /// Runs every schedule and returns the outcomes (does not panic;
@@ -272,7 +267,7 @@ impl CrashLab {
             stage,
             phase,
             detect_ns.saturating_sub(crash_ns),
-            self.latency_bound_ns(phase),
+            self.latency_bound_ns(),
         )
     }
 }
@@ -306,7 +301,12 @@ impl Run {
             auto_rejoin: true,
             ..SessionConfig::default()
         };
-        let mut session = ResilientSession::new(
+        let vc = VirtualClock::new();
+        let layers = SessionLayers {
+            clock: Clock::virtual_from(&vc),
+            ..SessionLayers::default()
+        };
+        let mut session = ResilientSession::with_layers(
             fabric,
             bundle,
             Config::test_small(),
@@ -314,10 +314,9 @@ impl Run {
             registry.clone(),
             CONN,
             cfg,
+            layers,
         )
         .expect("establishment on a fresh fabric");
-        let vc = VirtualClock::new();
-        session.set_clock(Clock::virtual_from(&vc));
         session.register(1, Arc::new(|_view, _out| 0));
         session.register(3, Arc::new(|_view, _out| 0));
         let schema = paper_schema();
@@ -527,18 +526,13 @@ impl Run {
     }
 
     /// Advances virtual time until the lease is Dead (loud deaths are
-    /// already there; wedges need the deadline to pass — and a wedge
-    /// mid-rejoin additionally needs the ramp's probes to resume before
-    /// the renewal silence is observable). Returns the detection time.
+    /// already there; wedges need the deadline to pass, on the renewal
+    /// silence or — mid-rejoin — on the stranded probe's age). Returns the
+    /// detection time.
     fn await_death(&mut self) -> u64 {
         for _ in 0..64 {
             if self.session.lease_state() == LeaseState::Dead {
                 return self.now_ns;
-            }
-            if self.session.lease_state() == LeaseState::Rejoining {
-                // Probe traffic is the only thing that moves a rejoin
-                // forward (or exposes that the device died again).
-                let _ = self.try_issue(1, false);
             }
             self.advance();
             self.tick();

@@ -48,6 +48,7 @@ pub mod alloc_track;
 pub mod compat;
 pub mod crashlab;
 pub mod datapath;
+mod failover;
 pub mod offload;
 pub mod precedence;
 pub mod serialize;
@@ -56,7 +57,9 @@ pub mod session;
 pub mod terminator;
 
 pub use alloc_track::{AllocStats, CountingAllocator, ALLOC_TRACKER};
-pub use compat::{routed_metadata, CompatServer, HostDirect, MODE_NATIVE, MODE_SERIALIZED};
+pub use compat::{
+    routed_metadata, CompatServer, HostDirect, MODE_NATIVE, MODE_SERIALIZED, STATUS_QUARANTINED,
+};
 pub use crashlab::{CrashLab, CrashOutcome, CrashStage, RecoveryPhase};
 pub use datapath::{
     run_scenario, run_scenario_monitored, run_scenario_traced, run_scenario_traced_on,
@@ -67,5 +70,5 @@ pub use pbo_cache::{CacheConfig, CacheSnapshot, ResponseCache, StoreOutcome, Ten
 pub use pbo_sched::{SchedConfig, ShedReason, TenantScheduler, TenantSpec, STATUS_SHED};
 pub use serialize::{serialize_view, SerializeError};
 pub use service::ServiceSchema;
-pub use session::{CircuitBreaker, ResilientSession, SessionConfig, STATUS_QUARANTINED};
+pub use session::{CircuitBreaker, ResilientSession, SessionConfig, SessionLayers};
 pub use terminator::{ForwardMode, ForwardRequest, HaConfig, HaLayer, Layers, XrpcTerminator};

@@ -145,6 +145,24 @@ impl OffloadClient {
         };
     }
 
+    /// Wires a freshly established client into its connection's layers:
+    /// spans under `conn_label` ([`OffloadClient::set_tracer`]) and, when
+    /// the connection schedules tenants, the scheduler's fabric window as
+    /// the client's credit observer, so credit borrowing tracks real
+    /// block-credit consumption. Every client a connection ever runs on —
+    /// the first, a reconnect's, a rejoin's — goes through here.
+    pub fn wire<T>(
+        &mut self,
+        tracer: &Tracer,
+        conn_label: &str,
+        sched: Option<&pbo_sched::TenantScheduler<T>>,
+    ) {
+        self.set_tracer(tracer, conn_label);
+        if let Some(sched) = sched {
+            self.rpc.set_credit_observer(sched.fabric());
+        }
+    }
+
     /// The underlying RPC client (metrics, flushing).
     pub fn rpc(&mut self) -> &mut RpcClient {
         &mut self.rpc

@@ -12,11 +12,10 @@
 //!   re-runs [`pbo_rpcrdma::try_establish`] — re-shipping the ADT control
 //!   blob and re-verifying binary compatibility, exactly like first
 //!   contact — re-registers every handler, and **replays** the
-//!   unacknowledged in-flight requests from its [`ReplayJournal`] in
-//!   original order. A per-request continuation slot guarantees each
-//!   caller sees its response *exactly once*, even when the server
-//!   re-executes a handler whose response was lost (at-least-once
-//!   server-side, exactly-once client-side).
+//!   unacknowledged in-flight requests in original order. A per-request
+//!   continuation slot guarantees each caller sees its response *exactly
+//!   once*, even when the server re-executes a handler whose response was
+//!   lost (DESIGN.md §13, "Failure-domain engine").
 //! * **Degrade** — a [`CircuitBreaker`] watches DPU-side deserialization.
 //!   After `breaker_threshold` consecutive offload failures it opens and
 //!   routes requests over the *degraded* path: serialized bytes forwarded
@@ -26,33 +25,39 @@
 //!   every `breaker_probe_every`-th request probes the native path; the
 //!   first success closes the breaker and restores offloading.
 //!
+//! Whole-DPU deaths — the lease, the in-flight journal, the host-side
+//! replay order and the warm-rejoin ramp — are the shared failure-domain
+//! engine's (`failover.rs`); this module supplies what a death means for
+//! a session: answering the drained requests through [`HostDirect`] into
+//! their continuation slots.
+//!
 //! Every recovery event is counted in the [`Registry`] (same `conn`
 //! label across reconnects, so series continue) and, when a tracer is
 //! attached, `reconnect` and `degraded` spans land in the trace stream.
 
 use crate::compat::{
-    CompatServer, HostDirect, NativeHandler, PayloadMode, MODE_NATIVE, MODE_SERIALIZED,
+    CompatServer, HostDirect, NativeHandler, NativeMdHandler, PayloadMode, MODE_NATIVE,
+    MODE_SERIALIZED, STATUS_QUARANTINED, STATUS_UNIMPLEMENTED,
 };
+use crate::failover::{FailureDomain, MetricNames};
 use crate::offload::OffloadClient;
 use crate::precedence::{self, Authority, ReplyStore, Verdict};
 use crate::service::ServiceSchema;
 use crate::terminator::ForwardMode;
 use parking_lot::Mutex;
 use pbo_cache::ResponseCache;
-use pbo_metrics::{Counter, Gauge, Histogram, Registry};
+use pbo_metrics::{Counter, Gauge, Registry};
 use pbo_policy::PolicyEngine;
 use pbo_rpcrdma::client::Continuation;
 use pbo_rpcrdma::{
-    try_establish, Config, Heartbeat, JournalEntry, LeaseConfig, LeaseMonitor, LeaseState,
-    ReplayJournal, RetryClass, RetryPolicy, RpcError,
+    try_establish, Config, LeaseConfig, LeaseState, RetryClass, RetryPolicy, RpcError,
 };
 use pbo_sched::{TenantScheduler, STATUS_SHED};
 use pbo_simnet::Fabric;
-use pbo_trace::{stages, triggers, Clock, FlightRecorder, Span, SpanSink, Tracer};
-use std::collections::BTreeMap;
+use pbo_trace::{stages, triggers, Clock, Span, SpanSink, Tracer};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Supervision knobs. The defaults suit the simulated fabric; scale the
 /// durations up for real hardware.
@@ -167,73 +172,56 @@ impl CircuitBreaker {
     }
 }
 
-/// Traffic ramp for a warm rejoin: every `stride`-th call probes the
-/// rebuilt DPU datapath; each successful probe halves the stride, so
-/// confidence compounds geometrically and full offload resumes after
-/// ⌈log₂ stride⌉ successes. Probe failures keep the stride where it is —
-/// the host keeps carrying the rest of the traffic either way.
-#[derive(Debug)]
-pub(crate) struct RejoinRamp {
-    stride: u32,
-    since_probe: u32,
-}
-
-impl RejoinRamp {
-    pub(crate) fn new(stride: u32) -> Self {
-        Self {
-            stride: stride.max(1),
-            since_probe: 0,
-        }
-    }
-
-    /// Whether the next call should probe the DPU datapath.
-    pub(crate) fn probe(&mut self) -> bool {
-        if self.stride <= 1 {
-            return true;
-        }
-        self.since_probe += 1;
-        if self.since_probe >= self.stride {
-            self.since_probe = 0;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Records a successful probe; returns `true` when the ramp is done
-    /// (every call offloads again).
-    pub(crate) fn on_probe_success(&mut self) -> bool {
-        self.stride /= 2;
-        self.stride <= 1
-    }
-}
-
 /// The caller's continuation, shared between the original enqueue and any
 /// replays: whichever response arrives first takes it; later duplicates
 /// find the slot empty and are dropped.
 type SharedCont = Arc<Mutex<Option<Continuation>>>;
 type SharedAcks = Arc<Mutex<Vec<u64>>>;
 
-/// Wraps the slot for one (re)enqueue: fires the caller's continuation at
-/// most once and reports the session sequence as acknowledged.
-fn make_continuation(acks: &SharedAcks, seq: u64, slot: &SharedCont) -> Continuation {
-    let slot = slot.clone();
-    let acks = acks.clone();
-    Box::new(move |payload, status| {
-        if let Some(cont) = slot.lock().take() {
-            acks.lock().push(seq);
-            cont(payload, status);
-        }
-    })
+/// One request in flight on the DPU datapath — the failure-domain
+/// engine's journal entry: everything needed to enqueue it again, or to
+/// answer it on the host.
+struct InFlight {
+    proc_id: u16,
+    wire: Vec<u8>,
+    /// Native (offloaded) route, as opposed to serialized-forward.
+    native: bool,
+    slot: SharedCont,
 }
 
-/// Status code delivered to the continuation of a quarantined (poison)
-/// request — gRPC `INVALID_ARGUMENT`.
-pub const STATUS_QUARANTINED: u16 = 3;
+impl InFlight {
+    /// (Re-)enqueues onto `client`. The continuation wrapped around the
+    /// slot fires the caller's at most once and reports `seq` answered.
+    fn enqueue(
+        &self,
+        client: &mut OffloadClient,
+        acks: &SharedAcks,
+        seq: u64,
+    ) -> Result<(), RpcError> {
+        let (slot, acks) = (self.slot.clone(), acks.clone());
+        let cont: Continuation = Box::new(move |payload, status| {
+            if let Some(cont) = slot.lock().take() {
+                acks.lock().push(seq);
+                cont(payload, status);
+            }
+        });
+        if self.native {
+            client.call_offloaded_md(self.proc_id, &self.wire, &[MODE_NATIVE], cont)
+        } else {
+            client.call_forwarded_md(self.proc_id, &self.wire, &[MODE_SERIALIZED], cont)
+        }
+    }
 
+    /// The caller's continuation, unless a reply already took it.
+    fn take_cont(&self) -> Option<Continuation> {
+        self.slot.lock().take()
+    }
+}
+
+/// The session's own counters; the failover / rejoin / lease family is
+/// bound by the failure-domain engine under the same `session_` prefix.
 struct SessionCounters {
     reconnects: Counter,
-    replays: Counter,
     breaker_trips: Counter,
     breaker_restores: Counter,
     breaker_probes: Counter,
@@ -242,118 +230,110 @@ struct SessionCounters {
     breaker_open: Gauge,
     journal_depth: Gauge,
     journal_depth_peak: Gauge,
-    failovers: Counter,
-    rejoins: Counter,
-    host_only: Counter,
-    lease_state: Gauge,
-    lease_time_in_state: Gauge,
-    failover_latency: Histogram,
-    mttr: Histogram,
 }
-
-/// Nanosecond-scale latency buckets shared by the failover and MTTR
-/// histograms: 10 µs … 10 s, roughly half-decade steps.
-const RECOVERY_NS_BOUNDS: &[f64] = &[1e4, 1e5, 1e6, 5e6, 1e7, 5e7, 1e8, 5e8, 1e9, 5e9, 1e10];
 
 impl SessionCounters {
     fn bind(registry: &Registry, conn: &str) -> Self {
         let l = [("conn", conn)];
+        let counter = |name, help| registry.counter(name, help, &l);
+        let gauge = |name, help| registry.gauge(name, help, &l);
         Self {
-            reconnects: registry.counter(
+            reconnects: counter(
                 "session_reconnects_total",
                 "Connection re-establishments performed by the supervisor",
-                &l,
             ),
-            replays: registry.counter(
-                "session_replayed_requests_total",
-                "In-flight requests replayed after a reconnect",
-                &l,
-            ),
-            breaker_trips: registry.counter(
+            breaker_trips: counter(
                 "session_breaker_trips_total",
                 "Offload circuit-breaker open transitions",
-                &l,
             ),
-            breaker_restores: registry.counter(
+            breaker_restores: counter(
                 "session_breaker_restores_total",
                 "Offload circuit-breaker close transitions (offload restored)",
-                &l,
             ),
-            breaker_probes: registry.counter(
+            breaker_probes: counter(
                 "session_breaker_probes_total",
                 "Native-path probes issued while the breaker was open",
-                &l,
             ),
-            degraded_calls: registry.counter(
+            degraded_calls: counter(
                 "session_degraded_calls_total",
                 "Requests routed over the degraded host-deserialization path",
-                &l,
             ),
             quarantined: registry.counter(
                 "quarantined_requests_total",
                 "Malformed (poison) requests failed individually with an error response",
                 &[("conn", conn), ("side", "dpu")],
             ),
-            breaker_open: registry.gauge(
+            breaker_open: gauge(
                 "session_breaker_open",
                 "1 while the offload circuit breaker is open",
-                &l,
             ),
-            journal_depth: registry.gauge(
+            journal_depth: gauge(
                 "session_journal_depth",
                 "Unacknowledged requests held for replay",
-                &l,
             ),
-            journal_depth_peak: registry.gauge(
+            journal_depth_peak: gauge(
                 "session_journal_depth_peak",
                 "High-water mark of unacknowledged requests held for replay",
-                &l,
-            ),
-            failovers: registry.counter(
-                "session_failovers_total",
-                "Whole-connection failovers to the host-only datapath (DPU declared dead)",
-                &l,
-            ),
-            rejoins: registry.counter(
-                "session_rejoins_total",
-                "Completed warm rejoins (full offload service restored)",
-                &l,
-            ),
-            host_only: registry.counter(
-                "session_host_only_calls_total",
-                "Requests served entirely by the host-direct datapath during failover",
-                &l,
-            ),
-            lease_state: registry.gauge(
-                "session_lease_state",
-                "DPU lease state: 0=live 1=suspect 2=dead 3=rejoining",
-                &l,
-            ),
-            lease_time_in_state: registry.gauge(
-                "session_lease_time_in_state_ns",
-                "Nanoseconds the lease has spent in its current state",
-                &l,
-            ),
-            failover_latency: registry.histogram(
-                "session_failover_latency_ns",
-                "DPU-death declaration to first host-served response, nanoseconds",
-                &l,
-                RECOVERY_NS_BOUNDS,
-            ),
-            mttr: registry.histogram(
-                "session_mttr_ns",
-                "DPU-death declaration to completed warm rejoin (full offload restored), nanoseconds",
-                &l,
-                RECOVERY_NS_BOUNDS,
             ),
         }
     }
 }
 
-/// One supervised connection: an [`OffloadClient`], its [`CompatServer`],
-/// and everything needed to rebuild both from scratch and carry the
-/// in-flight work across.
-pub struct ResilientSession {
+/// The optional layers of one session, fixed at construction
+/// ([`ResilientSession::with_layers`]); the default is none of them on a
+/// wall clock. Its own small struct rather than the terminator's
+/// [`crate::terminator::Layers`]: the session schedules admission-only
+/// (`TenantScheduler<()>` — it queues in its journal, not in the
+/// scheduler), brings its own [`HostDirect`] and lease configuration
+/// ([`SessionConfig`]) instead of an HA layer, and needs a [`Clock`].
+pub struct SessionLayers {
+    /// The session's one clock: lease and request deadlines, cache TTLs,
+    /// policy dwell and token buckets all read it. Wall by default (ns
+    /// since creation); a [`pbo_trace::VirtualClock`]-backed clock makes
+    /// every time-driven decision deterministic.
+    pub clock: Clock,
+    /// Span source (disabled = none): both endpoints get the usual
+    /// per-stage spans, the session emits `reconnect` / `degraded` /
+    /// `failover` / `rejoin` spans on its own `{conn_label}/session` track
+    /// and the policy its flips; a flight recorder riding the tracer gets
+    /// the anomaly marks whether or not spans are sampled.
+    pub tracer: Tracer,
+    /// Tenant admission control for [`ResilientSession::call_tenant`]:
+    /// per-tenant token buckets shed overload with [`STATUS_SHED`] *before*
+    /// the request touches the breaker or the datapath. Its fabric-window
+    /// observer is attached to every client the session runs on.
+    pub sched: Option<TenantScheduler<()>>,
+    /// Adaptive per-class offload policy. While the breaker is closed,
+    /// each call's route comes from the policy (per procedure id) and
+    /// successful offloaded deserializations feed their work-unit counts
+    /// back; [`ResilientSession::tick`] drives the control loop. While the
+    /// breaker is *open* the policy is neither consulted nor fed —
+    /// breaker-forced degrades are not policy decisions — and when it
+    /// closes again routing returns to the policy's verdict.
+    pub policy: Option<PolicyEngine>,
+    /// DPU response cache: declared-cachable classes are looked up before
+    /// a call touches the breaker, policy, journal or the wire, and
+    /// native-path status-0 responses populate it. Flushed on every
+    /// breaker trip and failover — the epoch bump those flushes carry
+    /// keeps replays and in-flight responses from repopulating it.
+    pub cache: Option<ResponseCache>,
+}
+
+impl Default for SessionLayers {
+    fn default() -> Self {
+        Self {
+            clock: Clock::wall(),
+            tracer: Tracer::disabled(),
+            sched: None,
+            policy: None,
+            cache: None,
+        }
+    }
+}
+
+/// What it takes to build the connection's two endpoints, first contact
+/// and every reconnect or rejoin alike.
+struct Link {
     fabric: Fabric,
     bundle: ServiceSchema,
     adt_bytes: Vec<u8>,
@@ -361,71 +341,88 @@ pub struct ResilientSession {
     server_cfg: Config,
     registry: Arc<Registry>,
     conn_label: String,
+    retry: RetryPolicy,
+    tracer: Tracer,
+    handlers: Vec<(u16, NativeHandler)>,
+}
+
+impl Link {
+    /// Fresh endpoints: the ADT control blob shipped and verified for
+    /// binary compatibility, retry policy, metrics (same `conn` label, so
+    /// series continue), tracer and credit observer wired, every handler
+    /// registered.
+    fn establish(
+        &self,
+        sched: Option<&TenantScheduler<()>>,
+    ) -> Result<(OffloadClient, CompatServer), RpcError> {
+        let (registry, conn) = (&self.registry, self.conn_label.as_str());
+        let ep = try_establish(
+            &self.fabric,
+            self.client_cfg,
+            self.server_cfg,
+            registry,
+            conn,
+            Some(&self.adt_bytes),
+        )?;
+        let mut client =
+            OffloadClient::new(ep.client, self.bundle.clone(), ep.control_blob.as_deref())
+                .map_err(|e| RpcError::Desync(e.to_string()))?;
+        client.rpc().set_retry_policy(self.retry);
+        client.bind_metrics(registry, conn);
+        client.wire(&self.tracer, conn, sched);
+        let mut server = CompatServer::new(ep.server, PayloadMode::Native);
+        server.rpc().set_retry_policy(self.retry);
+        server.bind_metrics(registry, conn);
+        server.set_tracer(&self.tracer, conn);
+        for (proc_id, handler) in &self.handlers {
+            server.register_degradable(&self.bundle, *proc_id, degradable(handler));
+        }
+        Ok((client, server))
+    }
+}
+
+/// The session's handlers take no call metadata (it sends none).
+fn degradable(handler: &NativeHandler) -> NativeMdHandler {
+    let handler = handler.clone();
+    Arc::new(move |_metadata, view, out| handler(view, out))
+}
+
+/// One supervised connection: an [`OffloadClient`], its [`CompatServer`],
+/// and everything needed to rebuild both from scratch and carry the
+/// in-flight work across.
+pub struct ResilientSession {
+    link: Link,
     cfg: SessionConfig,
 
     client: OffloadClient,
     server: CompatServer,
-    handlers: Vec<(u16, NativeHandler)>,
 
     breaker: CircuitBreaker,
-    journal: ReplayJournal,
-    slots: BTreeMap<u64, SharedCont>,
-    issued_at: BTreeMap<u64, Instant>,
+    /// The DPU failure domain over the requests in flight: lease, journal,
+    /// rejoin ramp and their metrics.
+    fd: FailureDomain<InFlight>,
     acks: SharedAcks,
     next_seq: u64,
-    reconnect_seq: u64,
 
     counters: SessionCounters,
     trace: Option<(Tracer, SpanSink)>,
-    /// Flight-recorder handle plus the clock that stamps its marks; set
-    /// whenever the attached tracer carries a recorder — independently of
-    /// span sampling, so anomaly dumps work in production-shaped runs.
-    flight: Option<(Tracer, FlightRecorder)>,
-    /// Tenant admission control for [`ResilientSession::call_tenant`]
-    /// (admission-only — this path does its own queueing via the journal).
     sched: Option<TenantScheduler<()>>,
-    sched_epoch: Instant,
-    /// Adaptive per-class offload policy. Consulted only while the
-    /// breaker is closed — the breaker is a fault response and always
-    /// takes precedence; its degrades are not policy decisions.
     policy: Option<PolicyEngine>,
-    /// DPU response cache. Consulted only while the lease is
-    /// Live/Suspect and the breaker is closed; flushed on breaker trips
-    /// and failovers (the epoch bump discards in-flight stores, so
-    /// journal replays cannot repopulate it).
     cache: Option<ResponseCache>,
 
     /// The host-only datapath (whole-DPU failover target); registered in
     /// lockstep with the server's degradable handlers.
     host: HostDirect,
-    /// Whole-DPU failure detector, running on `clock`.
-    lease: LeaseMonitor,
-    /// The clock lease decisions run on — wall by default, a virtual
-    /// clock under deterministic crash schedules.
     clock: Clock,
-    /// Heartbeat sequence of the current DPU incarnation.
-    hb_seq: u64,
     /// Simulation switch for the device itself: `false` models a wedged
     /// or rebooting DPU (heartbeats stop, the device-side event loop
     /// makes no progress) without any transport error.
     dpu_available: bool,
-    /// Active rejoin traffic ramp, present only while Rejoining.
-    ramp: Option<RejoinRamp>,
-    /// Virtual timestamp of the current outage's death declaration, until
-    /// the rejoin completes (feeds the MTTR histogram).
-    death_at_ns: Option<u64>,
-    /// True between a death declaration and the first host-served
-    /// response (feeds the failover-latency histogram).
-    awaiting_first_host_response: bool,
-    /// Virtual timestamp the active rejoin started at (feeds the rejoin
-    /// span).
-    rejoin_started_ns: Option<u64>,
 }
 
 impl ResilientSession {
-    /// Establishes the connection and wires the supervision machinery.
-    /// The ADT control blob ships during establishment (and again on
-    /// every reconnect) and is verified for binary compatibility.
+    /// [`ResilientSession::with_layers`] with none of the optional layers,
+    /// on a wall clock.
     pub fn new(
         fabric: Fabric,
         bundle: ServiceSchema,
@@ -435,90 +432,127 @@ impl ResilientSession {
         conn_label: &str,
         cfg: SessionConfig,
     ) -> Result<Self, RpcError> {
-        let adt_bytes = bundle.adt_bytes();
-        let ep = try_establish(
-            &fabric,
-            client_cfg,
-            server_cfg,
-            &registry,
-            conn_label,
-            Some(&adt_bytes),
-        )?;
-        let mut client = OffloadClient::new(ep.client, bundle.clone(), ep.control_blob.as_deref())
-            .map_err(|e| RpcError::Desync(e.to_string()))?;
-        client.rpc().set_retry_policy(cfg.retry);
-        client.bind_metrics(&registry, conn_label);
-        let mut server = CompatServer::new(ep.server, PayloadMode::Native);
-        server.rpc().set_retry_policy(cfg.retry);
-        server.bind_metrics(&registry, conn_label);
-        let counters = SessionCounters::bind(&registry, conn_label);
-        let clock = Clock::wall();
-        let lease = LeaseMonitor::new(cfg.lease, clock.now_ns());
-        Ok(Self {
+        let layers = SessionLayers::default();
+        Self::with_layers(
+            fabric, bundle, client_cfg, server_cfg, registry, conn_label, cfg, layers,
+        )
+    }
+
+    /// Establishes the connection and wires the supervision machinery and
+    /// `layers` to it. The ADT control blob ships during establishment
+    /// (and again on every reconnect) and is verified for binary
+    /// compatibility. Policy and cache metrics bind to `registry`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn with_layers(
+        fabric: Fabric,
+        bundle: ServiceSchema,
+        client_cfg: Config,
+        server_cfg: Config,
+        registry: Arc<Registry>,
+        conn_label: &str,
+        cfg: SessionConfig,
+        layers: SessionLayers,
+    ) -> Result<Self, RpcError> {
+        let SessionLayers {
+            clock,
+            tracer,
+            sched,
+            mut policy,
+            cache,
+        } = layers;
+        if let Some(policy) = &mut policy {
+            policy.bind_metrics(&registry);
+            policy.set_tracer(&tracer, conn_label);
+            if let Some(flight) = tracer.flight() {
+                policy.bind_flight(&flight);
+            }
+        }
+        if let Some(cache) = &cache {
+            cache.bind_metrics(&registry);
+        }
+        let link = Link {
+            adt_bytes: bundle.adt_bytes(),
             fabric,
             bundle,
-            adt_bytes,
             client_cfg,
             server_cfg,
             registry,
             conn_label: conn_label.to_string(),
+            retry: cfg.retry,
+            tracer,
+            handlers: Vec::new(),
+        };
+        let (client, server) = link.establish(sched.as_ref())?;
+        let (registry, stride) = (&link.registry, cfg.rejoin_probe_stride);
+        let now_ns = clock.now_ns();
+        let names = MetricNames::SESSION;
+        let fd = FailureDomain::new(cfg.lease, stride, now_ns, registry, names, conn_label);
+        let trace = link.tracer.is_enabled().then(|| {
+            let sink = link.tracer.sink(&format!("{conn_label}/session"));
+            (link.tracer.clone(), sink)
+        });
+        Ok(Self {
             breaker: CircuitBreaker::new(cfg.breaker_threshold, cfg.breaker_probe_every),
+            counters: SessionCounters::bind(&link.registry, conn_label),
+            link,
             cfg,
             client,
             server,
-            handlers: Vec::new(),
-            journal: ReplayJournal::new(),
-            slots: BTreeMap::new(),
-            issued_at: BTreeMap::new(),
+            fd,
             acks: Arc::new(Mutex::new(Vec::new())),
             next_seq: 0,
-            reconnect_seq: 0,
-            counters,
-            trace: None,
-            flight: None,
-            sched: None,
-            sched_epoch: Instant::now(),
-            policy: None,
-            cache: None,
+            trace,
+            sched,
+            policy,
+            cache,
             host: HostDirect::new(),
-            lease,
             clock,
-            hb_seq: 0,
             dpu_available: true,
-            ramp: None,
-            death_at_ns: None,
-            awaiting_first_host_response: false,
-            rejoin_started_ns: None,
         })
     }
 
-    /// Replaces the clock the lease failure detector runs on and
-    /// re-grants the lease at the new clock's current time. Install a
-    /// [`pbo_trace::VirtualClock`]-backed clock before any traffic to
-    /// make lease expiry schedules fully deterministic.
-    pub fn set_clock(&mut self, clock: Clock) {
-        self.lease = LeaseMonitor::new(self.cfg.lease, clock.now_ns());
-        self.clock = clock;
+    /// The tracer's clock when tracing is on: the start of a span to be.
+    fn trace_now(&self) -> Option<u64> {
+        self.trace.as_ref().map(|(t, _)| t.now_ns())
     }
 
-    /// Installs the adaptive per-class offload policy. While the breaker
-    /// is closed, each call's route comes from the policy (per
-    /// procedure id); successful offloaded deserializations feed their
-    /// work-unit counts back as cost observations, and
-    /// [`ResilientSession::tick`] drives the control loop. While the
-    /// breaker is *open* the policy is neither consulted nor fed —
-    /// breaker-forced degrades are not policy decisions — and when the
-    /// breaker closes again routing returns to the policy's verdict
-    /// rather than unconditionally restoring offload.
-    pub fn set_policy(&mut self, mut policy: PolicyEngine) {
-        policy.bind_metrics(&self.registry);
-        if let Some((t, _)) = &self.trace {
-            policy.set_tracer(t, &self.conn_label);
+    /// Records a span on the `{conn_label}/session` track.
+    fn span(&self, trace_id: u64, stage: &'static str, start_ns: u64, end_ns: u64, bytes: u64) {
+        if let Some((_, sink)) = &self.trace {
+            sink.record(Span {
+                trace_id,
+                stage,
+                start_ns,
+                end_ns,
+                bytes,
+            });
         }
-        if let Some((_, f)) = &self.flight {
-            policy.bind_flight(f);
+    }
+
+    /// [`Self::span`] from an earlier [`Self::trace_now`] to now.
+    fn span_since(&self, trace_id: u64, stage: &'static str, start_ns: Option<u64>, bytes: u64) {
+        if let (Some(start_ns), Some(end_ns)) = (start_ns, self.trace_now()) {
+            self.span(trace_id, stage, start_ns, end_ns, bytes);
         }
-        self.policy = Some(policy);
+    }
+
+    /// Marks an anomaly in the flight recorder riding the tracer and raises
+    /// its trigger — independently of span sampling, so anomaly dumps work
+    /// in production-shaped runs.
+    fn mark(&self, id: u64, trigger: &'static str, bytes: u64) {
+        if let Some(flight) = self.link.tracer.flight() {
+            let now = self.link.tracer.now_ns();
+            flight.record_mark(id, trigger, now, bytes);
+            flight.trigger(trigger, now);
+        }
+    }
+
+    /// Answers a call that never enters the datapath.
+    fn answer(&mut self, cont: Continuation, payload: &[u8], status: u16) -> Result<u64, RpcError> {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        cont(payload, status);
+        Ok(seq)
     }
 
     /// Read access to the installed policy engine.
@@ -532,71 +566,27 @@ impl ResilientSession {
         self.policy.as_mut()
     }
 
-    /// Installs a tenant scheduler for [`ResilientSession::call_tenant`]:
-    /// per-tenant token buckets shed overload with [`STATUS_SHED`]
-    /// *before* the request touches the breaker or the datapath, and the
-    /// scheduler's fabric-window observer is attached to the offload
-    /// client (and re-attached on every reconnect).
-    pub fn set_scheduler(&mut self, sched: TenantScheduler<()>) {
-        self.client.rpc().set_credit_observer(sched.fabric());
-        self.sched = Some(sched);
-    }
-
-    /// Read access to the installed tenant scheduler.
-    pub fn scheduler(&self) -> Option<&TenantScheduler<()>> {
-        self.sched.as_ref()
-    }
-
-    /// Installs the DPU response cache: declared-cachable classes are
-    /// looked up before each call touches the breaker, policy, journal,
-    /// or the wire, and native-path status-0 responses populate it on
-    /// completion. The session flushes it on every breaker trip and
-    /// lease failover — the epoch bump those flushes carry is what keeps
-    /// journal replays and in-flight responses from repopulating state
-    /// the transition meant to drop. Metrics bind to the session's
-    /// registry.
-    pub fn set_cache(&mut self, cache: ResponseCache) {
-        cache.bind_metrics(&self.registry);
-        self.cache = Some(cache);
-    }
-
     /// Read access to the installed response cache.
     pub fn cache(&self) -> Option<&ResponseCache> {
         self.cache.as_ref()
-    }
-
-    /// Attaches a tracer: both endpoints get the usual per-stage spans,
-    /// and the session emits `reconnect` / `degraded` spans on its own
-    /// `{conn_label}/session` track.
-    pub fn set_tracer(&mut self, tracer: &Tracer) {
-        self.client.set_tracer(tracer, &self.conn_label);
-        self.server.set_tracer(tracer, &self.conn_label);
-        self.trace = if tracer.is_enabled() {
-            Some((
-                tracer.clone(),
-                tracer.sink(&format!("{}/session", self.conn_label)),
-            ))
-        } else {
-            None
-        };
-        self.flight = tracer.flight().map(|f| (tracer.clone(), f));
     }
 
     /// Registers a degradable handler (see
     /// [`CompatServer::register_degradable`]); kept for re-registration
     /// on every reconnect.
     pub fn register(&mut self, proc_id: u16, handler: NativeHandler) {
+        let bundle = &self.link.bundle;
         self.server
-            .register_degradable(&self.bundle, proc_id, handler.clone());
+            .register_degradable(bundle, proc_id, degradable(&handler));
         // The same business logic backs the host-only failover datapath,
         // so a dead DPU never takes a procedure out of service.
-        self.host.register(&self.bundle, proc_id, handler.clone());
-        self.handlers.push((proc_id, handler));
+        self.host.register(bundle, proc_id, handler.clone());
+        self.link.handlers.push((proc_id, handler));
     }
 
     /// The shared fabric (fault injection, PCIe counters).
     pub fn fabric(&self) -> &Fabric {
-        &self.fabric
+        &self.link.fabric
     }
 
     /// The current DPU-side engine (chaos knobs, metrics). Replaced
@@ -612,7 +602,7 @@ impl ResilientSession {
 
     /// Requests accepted but not yet answered.
     pub fn outstanding(&self) -> usize {
-        self.slots.len()
+        self.fd.in_flight()
     }
 
     /// True while the offload circuit breaker is open.
@@ -622,12 +612,7 @@ impl ResilientSession {
 
     /// The DPU lease state as of the last poll/event.
     pub fn lease_state(&self) -> LeaseState {
-        self.lease.state()
-    }
-
-    /// Read access to the lease failure detector.
-    pub fn lease(&self) -> &LeaseMonitor {
-        &self.lease
+        self.fd.state()
     }
 
     /// Whether the simulated device is up (see
@@ -656,15 +641,16 @@ impl ResilientSession {
 
     /// Declares the DPU dead immediately (operator override or hard
     /// external evidence) and fails the connection over to the host-only
-    /// datapath, replaying the journal exactly-once. Idempotent while
-    /// already dead or rejoining.
+    /// datapath, replaying the journal exactly-once. A death declared
+    /// *during* a rejoin aborts the rejoin back to host-only; a no-op
+    /// while already dead.
     pub fn declare_dpu_dead(&mut self) {
-        self.enter_dead();
+        self.fail_over();
     }
 
     /// [`ResilientSession::call`] with tenant admission control in front:
-    /// when a scheduler is installed ([`ResilientSession::set_scheduler`])
-    /// the tenant's token bucket runs first; on overload the continuation
+    /// when a scheduler is installed ([`SessionLayers::sched`]) the
+    /// tenant's token bucket runs first; on overload the continuation
     /// fires immediately with [`STATUS_SHED`] (retryable, like quarantine:
     /// the breaker never sees it and `Ok(seq)` is returned — the *request*
     /// was answered, just not served). Admitted requests proceed exactly
@@ -677,14 +663,11 @@ impl ResilientSession {
         cont: Continuation,
     ) -> Result<u64, RpcError> {
         if let Some(sched) = &mut self.sched {
-            let now_ns = self.sched_epoch.elapsed().as_nanos() as u64;
+            let now_ns = self.clock.now_ns();
             if sched.admit(tenant, wire.len() as u32, now_ns).is_err() {
                 // Shed: answer this caller with the retryable status and
                 // leave the breaker and the datapath untouched.
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                cont(&[], STATUS_SHED);
-                return Ok(seq);
+                return self.answer(cont, &[], STATUS_SHED);
             }
         }
         self.call_inner(tenant, proc_id, wire, cont)
@@ -714,9 +697,9 @@ impl ResilientSession {
         // and policy state moot — there is no offload path to degrade or
         // steer.
         self.poll_lease();
-        let lease = self.lease.state();
+        let lease = self.fd.state();
         let breaker_open = self.breaker.is_open();
-        let now_ns = self.sched_epoch.elapsed().as_nanos() as u64;
+        let now_ns = self.clock.now_ns();
         // A hit answers without touching the breaker, the policy's cost
         // estimates, the journal, or the wire — exactly the stages it
         // exists to skip — and is attributed to the cached route.
@@ -726,31 +709,20 @@ impl ResilientSession {
             .filter(|_| precedence::may_lookup(lease, breaker_open))
         {
             if let Some((status, payload)) = cache.lookup(tenant, proc_id, wire, now_ns) {
-                let seq = self.next_seq;
-                self.next_seq += 1;
                 if let Some(policy) = &mut self.policy {
                     policy.note_cached(proc_id, now_ns);
                 }
-                if let Some((t, sink)) = &self.trace {
-                    let t_ns = t.now_ns();
-                    sink.record(Span {
-                        trace_id: seq,
-                        stage: stages::CACHE_HIT,
-                        start_ns: t_ns,
-                        end_ns: t_ns,
-                        bytes: wire.len() as u64,
-                    });
-                }
-                cont(&payload, status);
-                return Ok(seq);
+                let (seq, bytes) = (self.next_seq, wire.len() as u64);
+                self.span_since(seq, stages::CACHE_HIT, self.trace_now(), bytes);
+                return self.answer(cont, &payload, status);
             }
         }
-        let (ramp, breaker, policy) = (&mut self.ramp, &mut self.breaker, &mut self.policy);
+        let (fd, breaker, policy) = (&mut self.fd, &mut self.breaker, &mut self.policy);
         let mut verdict = precedence::route(
             lease,
             breaker_open,
             ForwardMode::Offload,
-            || ramp.as_mut().is_some_and(|r| r.probe()),
+            || fd.ramp_probe(),
             || breaker.route_native(),
             || Some(policy.as_mut()?.route(proc_id, now_ns).route),
         );
@@ -775,22 +747,28 @@ impl ResilientSession {
         let cont: Continuation = match store {
             Some(store) => {
                 let store = store.traced(self.trace.clone(), self.next_seq);
-                let (armed, epoch) = (store_armed.clone(), self.sched_epoch);
+                let (armed, clock) = (store_armed.clone(), self.clock.clone());
                 Box::new(move |payload, status| {
                     if armed.load(Ordering::Relaxed) {
-                        store.on_reply(status, payload, epoch.elapsed().as_nanos() as u64);
+                        store.on_reply(status, payload, clock.now_ns());
                     }
                     cont(payload, status);
                 })
             }
             None => cont,
         };
-        let seq = self.next_seq;
-        let slot: SharedCont = Arc::new(Mutex::new(Some(cont)));
-        let start_ns = self.trace.as_ref().map(|(t, _)| t.now_ns());
-        let mut native = verdict.fabric == Some(ForwardMode::Offload);
-        let mut result = self.enqueue_once(native, proc_id, wire, seq, &slot);
-        if native {
+        let (seq, bytes) = (self.next_seq, wire.len() as u64);
+        let start_ns = self.trace_now();
+        // The journal entry to be; the slot holds the caller's continuation
+        // until a reply — DPU or host — takes it.
+        let mut entry = InFlight {
+            proc_id,
+            wire: wire.to_vec(),
+            native: verdict.fabric == Some(ForwardMode::Offload),
+            slot: Arc::new(Mutex::new(Some(cont))),
+        };
+        let mut result = entry.enqueue(&mut self.client, &self.acks, seq);
+        if entry.native {
             match &result {
                 Ok(()) => {
                     if self.breaker.on_success() {
@@ -801,7 +779,7 @@ impl ResilientSession {
                     // policy's per-class cost estimate.
                     let outcome = self.client.take_deser_outcome();
                     if let (Some(policy), Some((stats, used))) = (&mut self.policy, outcome) {
-                        let now_ns = self.sched_epoch.elapsed().as_nanos() as u64;
+                        let now_ns = self.clock.now_ns();
                         policy.observe_stats(proc_id, &stats, wire.len() as u64, used, now_ns);
                     }
                 }
@@ -811,25 +789,10 @@ impl ResilientSession {
                     // breaker alone — a flood of malformed requests must
                     // not push healthy traffic off the offload path.
                     self.counters.quarantined.inc();
-                    if let Some((t, f)) = &self.flight {
-                        let now = t.now_ns();
-                        f.record_mark(seq, triggers::QUARANTINE, now, wire.len() as u64);
-                        f.trigger(triggers::QUARANTINE, now);
-                    }
-                    if let (Some((t, sink)), Some(start_ns)) = (&self.trace, start_ns) {
-                        sink.record(Span {
-                            trace_id: seq,
-                            stage: stages::QUARANTINE,
-                            start_ns,
-                            end_ns: t.now_ns(),
-                            bytes: wire.len() as u64,
-                        });
-                    }
-                    if let Some(cont) = slot.lock().take() {
-                        cont(&[], STATUS_QUARANTINED);
-                    }
-                    self.next_seq += 1;
-                    return Ok(seq);
+                    self.mark(seq, triggers::QUARANTINE, bytes);
+                    self.span_since(seq, stages::QUARANTINE, start_ns, bytes);
+                    let cont = entry.take_cont().expect("continuation unused on Err");
+                    return self.answer(cont, &[], STATUS_QUARANTINED);
                 }
                 Err(RpcError::PayloadWriter(_)) => {
                     // DPU-side deserialization failed: count it against
@@ -842,22 +805,17 @@ impl ResilientSession {
                         // misbehaving: drop every cached response it
                         // produced and invalidate in-flight stores.
                         precedence::flush_on_fault(self.cache.as_ref());
-                        if let Some((t, f)) = &self.flight {
-                            let now = t.now_ns();
-                            f.record_mark(seq, triggers::BREAKER_OPEN, now, wire.len() as u64);
-                            f.trigger(triggers::BREAKER_OPEN, now);
-                        }
+                        self.mark(seq, triggers::BREAKER_OPEN, bytes);
                     }
                     if verdict.by == Authority::Ramp {
                         // A failed probe is served host-side and leaves the
                         // ramp where it is.
-                        let cont = slot.lock().take().expect("continuation unused on Err");
-                        return self.call_host_direct(proc_id, wire, cont);
+                        return self.serve_refused(entry);
                     }
                     verdict = Verdict::DEGRADED;
-                    native = false;
+                    entry.native = false;
                     self.counters.degraded_calls.inc();
-                    result = self.enqueue_once(false, proc_id, wire, seq, &slot);
+                    result = entry.enqueue(&mut self.client, &self.acks, seq);
                 }
                 Err(_) => {}
             }
@@ -868,9 +826,8 @@ impl ResilientSession {
                 // over and serve this request host-side right now. The
                 // slot still holds the caller's continuation (the failed
                 // enqueue never fired it).
-                self.enter_dead();
-                let cont = slot.lock().take().expect("continuation unused on Err");
-                return self.call_host_direct(proc_id, wire, cont);
+                self.fail_over();
+                return self.serve_refused(entry);
             }
             // A reconnect-class failure during enqueue: recover the
             // connection and try this request once more (it is not yet
@@ -880,71 +837,42 @@ impl ResilientSession {
                 return Err(e);
             }
             if verdict.by == Authority::Ramp {
-                self.enter_dead();
+                self.fail_over();
             } else {
                 self.reconnect()?;
             }
-            if matches!(self.lease.state(), LeaseState::Dead | LeaseState::Rejoining) {
+            if matches!(self.fd.state(), LeaseState::Dead | LeaseState::Rejoining) {
                 // The reconnect collapsed into a failover (device gone).
-                let cont = slot.lock().take().expect("continuation unused on Err");
-                return self.call_host_direct(proc_id, wire, cont);
+                return self.serve_refused(entry);
             }
-            self.enqueue_once(native, proc_id, wire, seq, &slot)?;
+            entry.enqueue(&mut self.client, &self.acks, seq)?;
         }
         if verdict.by == Authority::Breaker {
             // Only breaker-forced host routing is "degraded"; a class
             // the policy routed to host is operating as intended and
             // gets policy metrics/spans instead.
-            if let (Some((t, sink)), Some(start_ns)) = (&self.trace, start_ns) {
-                sink.record(Span {
-                    trace_id: seq,
-                    stage: stages::DEGRADED,
-                    start_ns,
-                    end_ns: t.now_ns(),
-                    bytes: wire.len() as u64,
-                });
-            }
+            self.span_since(seq, stages::DEGRADED, start_ns, bytes);
         }
         // Commit the cachability decision: breaker-degraded and
         // policy-routed (host-deserialize) responses never populate.
         store_armed.store(verdict.may_store(), Ordering::Relaxed);
-        self.journal.record(JournalEntry {
-            seq,
-            proc_id,
-            payload: wire.to_vec(),
-            metadata: vec![if native { MODE_NATIVE } else { MODE_SERIALIZED }],
-        });
-        self.slots.insert(seq, slot);
-        self.issued_at.insert(seq, Instant::now());
+        let now_ns = self.clock.now_ns();
+        self.fd.record(seq, now_ns, entry);
         self.next_seq += 1;
-        let depth = self.journal.len() as i64;
+        let depth = self.fd.in_flight() as i64;
         self.counters.journal_depth.set(depth);
         self.counters.journal_depth_peak.set_max(depth);
         // An accepted probe is real forward progress on the rebuilt
-        // datapath: it halves the ramp stride.
-        if verdict.by == Authority::Ramp && self.ramp.as_mut().is_some_and(|r| r.on_probe_success())
-        {
-            self.complete_rejoin();
+        // datapath: it halves the ramp stride, and the last one restores
+        // full offload service.
+        if verdict.by == Authority::Ramp {
+            if let Some(took_ns) = self.fd.probe_accepted(now_ns) {
+                let rejoins = self.fd.lease().rejoins();
+                self.mark(rejoins, triggers::REJOIN, 0);
+                self.span(rejoins, stages::REJOIN, now_ns - took_ns, now_ns, 0);
+            }
         }
         Ok(seq)
-    }
-
-    fn enqueue_once(
-        &mut self,
-        native: bool,
-        proc_id: u16,
-        wire: &[u8],
-        seq: u64,
-        slot: &SharedCont,
-    ) -> Result<(), RpcError> {
-        let cont = make_continuation(&self.acks, seq, slot);
-        if native {
-            self.client
-                .call_offloaded_md(proc_id, wire, &[MODE_NATIVE], cont)
-        } else {
-            self.client
-                .call_forwarded_md(proc_id, wire, &[MODE_SERIALIZED], cont)
-        }
     }
 
     /// Drives both event loops once, absorbing transient failures,
@@ -952,27 +880,16 @@ impl ResilientSession {
     /// per-request deadline. Returns responses delivered to this side.
     pub fn tick(&mut self, timeout: Duration) -> Result<usize, RpcError> {
         // Lease renewal: while the device is up it heartbeats with its
-        // queue depth and credit occupancy. (The simulation generates the
-        // renewals here; a real deployment receives them on the control
-        // channel.) A wedged device stops renewing — that silence is the
-        // only symptom, and the deadline below converts it to a failover.
-        let now_ns = self.clock.now_ns();
-        if self.dpu_available
-            && matches!(self.lease.state(), LeaseState::Live | LeaseState::Suspect)
-        {
-            self.hb_seq += 1;
-            let hb = Heartbeat {
-                seq: self.hb_seq,
-                queue_depth: self.slots.len() as u32,
-                credits_in_use: self.client.rpc().outstanding() as u32,
-            };
-            self.lease.on_heartbeat(hb, now_ns);
+        // queue depth. (The simulation generates the renewals here; a real
+        // deployment receives them on the control channel.) A wedged
+        // device stops renewing — that silence is the only symptom, and
+        // the deadline below converts it to a failover.
+        if self.dpu_available {
+            let depth = self.fd.in_flight() as u32;
+            self.fd.renew(self.clock.now_ns(), depth);
         }
         self.poll_lease();
-        self.counters
-            .lease_time_in_state
-            .set(self.lease.time_in_state_ns(self.clock.now_ns()) as i64);
-        if self.lease.state() == LeaseState::Dead {
+        if self.fd.state() == LeaseState::Dead {
             // Host-only service: no endpoints to drive (the old pair died
             // with the device). Start a warm rejoin as soon as the device
             // is back.
@@ -986,31 +903,27 @@ impl ResilientSession {
             self.absorb(e)?;
         }
         let mut delivered = 0;
-        if self.dpu_available && self.lease.state() != LeaseState::Dead {
+        if self.dpu_available && self.fd.state() != LeaseState::Dead {
             match self.client.event_loop(Duration::ZERO) {
                 Ok(n) => delivered = n,
                 Err(e) => self.absorb(e)?,
             }
         }
         self.drain_acks();
-        if self.lease.state() == LeaseState::Dead {
+        if self.fd.state() == LeaseState::Dead {
             // An event loop just observed the device death; the failover
             // already replayed and answered everything outstanding.
             return Ok(delivered);
         }
+        let now_ns = self.clock.now_ns();
         if let Some(policy) = &mut self.policy {
             // Drive the control loop: scrape pressure signals (throttled
             // internally) and re-evaluate routes.
-            let now_ns = self.sched_epoch.elapsed().as_nanos() as u64;
             policy.refresh_signals(now_ns);
         }
         if let Some(deadline) = self.cfg.request_deadline {
-            let oldest_expired = self
-                .issued_at
-                .values()
-                .next()
-                .is_some_and(|t| t.elapsed() > deadline);
-            if oldest_expired {
+            let oldest_ns = self.fd.oldest_age_ns(now_ns);
+            if oldest_ns.is_some_and(|age_ns| age_ns > deadline.as_nanos() as u64) {
                 // The response (or its completion) was lost without any
                 // other symptom — recover through the reconnect ladder.
                 self.absorb(RpcError::Stalled {
@@ -1025,7 +938,7 @@ impl ResilientSession {
         if e.is_dpu_death() {
             // Not a connection problem — the device itself died. Fail the
             // whole connection over instead of reconnecting into a void.
-            self.enter_dead();
+            self.fail_over();
             return Ok(());
         }
         match e.retry_class() {
@@ -1035,145 +948,69 @@ impl ResilientSession {
         }
     }
 
-    /// Time-driven lease transitions; a deadline crossing fails over.
+    /// The engine's deadline rules; a crossing fails over.
     fn poll_lease(&mut self) {
+        if self.fd.poll(self.clock.now_ns()).is_some() {
+            self.fail_over();
+        }
+    }
+
+    /// The whole-connection failover, the session's share of it (the
+    /// engine makes the death transition — also from mid-rejoin — counts
+    /// it and hands back what was in flight): flip to host-only service
+    /// and answer every in-flight request through [`HostDirect`], oldest
+    /// first. No-op while already dead.
+    fn fail_over(&mut self) {
+        // Replies that beat the death retire their entries first.
+        self.drain_acks();
         let now_ns = self.clock.now_ns();
-        let prev = self.lease.state();
-        let cur = self.lease.poll(now_ns);
-        if cur == prev {
+        let Some(in_flight) = self.fd.declare_dead(now_ns) else {
             return;
-        }
-        self.counters.lease_state.set(cur.gauge_code() as i64);
-        if cur == LeaseState::Dead {
-            self.fail_over(now_ns);
-        }
-    }
-
-    /// Declares death (from error-path evidence) and fails over.
-    /// Idempotent while already dead or rejoining — except that a death
-    /// observed *during* a rejoin aborts the rejoin back to host-only.
-    fn enter_dead(&mut self) {
-        let now_ns = self.clock.now_ns();
-        match self.lease.state() {
-            LeaseState::Dead => return,
-            LeaseState::Rejoining => {
-                // Second crash mid-rejoin: back to host-only service. The
-                // failover below recovers whatever the ramp had in flight.
-                self.lease.abort_rejoin(now_ns);
-                self.ramp = None;
-                self.rejoin_started_ns = None;
-            }
-            LeaseState::Live | LeaseState::Suspect => {
-                self.lease.declare_dead(now_ns);
-            }
-        }
-        self.counters
-            .lease_state
-            .set(LeaseState::Dead.gauge_code() as i64);
-        self.fail_over(now_ns);
-    }
-
-    /// The whole-connection failover: flip to host-only service and
-    /// recover every in-flight request exactly-once.
-    fn fail_over(&mut self, now_ns: u64) {
-        self.counters.failovers.inc();
-        // Flush before the journal replay below: the epoch bump makes
-        // every store wrapper issued before this failover stale, so
-        // replayed (host-served) responses can never repopulate the
-        // cache — the no-double-populate rule.
+        };
+        // Flush before the replay below: the epoch bump makes every store
+        // wrapper issued before this failover stale, so replayed
+        // (host-served) responses can never repopulate the cache — the
+        // no-double-populate rule.
         precedence::flush_on_fault(self.cache.as_ref());
-        if self.death_at_ns.is_none() {
-            // First death of this outage (a crash mid-rejoin keeps the
-            // original death time so MTTR spans the whole outage).
-            self.death_at_ns = Some(now_ns);
-        }
-        self.awaiting_first_host_response = true;
-        if let Some((t, f)) = &self.flight {
-            let tnow = t.now_ns();
-            f.record_mark(self.lease.deaths(), triggers::DPU_DEAD, tnow, 0);
-            f.trigger(triggers::DPU_DEAD, tnow);
-        }
-        if let Some((_, sink)) = &self.trace {
-            // Detection latency: last accepted renewal → declaration.
-            sink.record(Span {
-                trace_id: self.lease.deaths(),
-                stage: stages::LEASE_WAIT,
-                start_ns: self.lease.last_renewal_ns(),
-                end_ns: now_ns,
-                bytes: 0,
-            });
-        }
+        let deaths = self.fd.lease().deaths();
+        self.mark(deaths, triggers::DPU_DEAD, 0);
+        // Detection latency: last accepted renewal → declaration.
+        let renewed_ns = self.fd.lease().last_renewal_ns();
+        self.span(deaths, stages::LEASE_WAIT, renewed_ns, now_ns, 0);
         // Invalidate the DPU credit window: blocks posted to a dead
         // device will never be acknowledged.
         if let Some(sched) = &self.sched {
             sched.fabric().reset();
         }
-        // Replay the journal through the host-only datapath, oldest
-        // first. Continuation slots make this exactly-once client-side
-        // even when the dead DPU's host already executed the handler
-        // (at-least-once server-side, as everywhere else).
-        self.drain_acks();
-        let entries: Vec<JournalEntry> = self.journal.live().cloned().collect();
-        let mut replayed = 0u64;
-        for entry in &entries {
-            let Some(slot) = self.slots.get(&entry.seq).cloned() else {
-                continue;
-            };
-            let cont = make_continuation(&self.acks, entry.seq, &slot);
-            self.dispatch_host(entry.proc_id, &entry.payload, cont);
-            replayed += 1;
+        for (_, entry) in &in_flight {
+            if let Some(cont) = entry.take_cont() {
+                self.dispatch_host(entry.proc_id, &entry.wire, cont);
+            }
         }
-        self.counters.replays.inc_by(replayed);
-        self.drain_acks();
-        if let Some((_, sink)) = &self.trace {
-            sink.record(Span {
-                trace_id: self.lease.deaths(),
-                stage: stages::FAILOVER,
-                start_ns: now_ns,
-                end_ns: self.clock.now_ns(),
-                bytes: replayed,
-            });
-        }
+        self.counters.journal_depth.set(0);
+        let (ended_ns, replayed) = (self.clock.now_ns(), in_flight.len() as u64);
+        self.span(deaths, stages::FAILOVER, now_ns, ended_ns, replayed);
     }
 
     /// Runs one request on the host-only datapath and fires `cont`
     /// exactly once. Quarantine keeps its per-request semantics.
     fn dispatch_host(&mut self, proc_id: u16, wire: &[u8], cont: Continuation) {
-        self.counters.host_only.inc();
         let mut out = Vec::new();
         match self.host.dispatch(proc_id, wire, &mut out) {
-            Ok(status) => {
-                cont(&out, status);
-                self.note_host_response();
-            }
+            Ok(status) => cont(&out, status),
             Err(RpcError::Quarantined(_)) => {
                 self.counters.quarantined.inc();
                 cont(&[], STATUS_QUARANTINED);
-                self.note_host_response();
             }
             Err(e) => {
                 // Unregistered procedure on the failover path: the
-                // request cannot be served anywhere. Surface it as the
-                // gRPC UNIMPLEMENTED status rather than losing the
-                // continuation.
+                // request cannot be served anywhere. Surface that rather
+                // than losing the continuation.
                 debug_assert!(matches!(e, RpcError::NoSuchProcedure(_)));
-                cont(&[], 12);
+                cont(&[], STATUS_UNIMPLEMENTED);
             }
         }
-    }
-
-    /// Records the first host-served response after a death declaration
-    /// (the failover-latency histogram's sample).
-    fn note_host_response(&mut self) {
-        if !self.awaiting_first_host_response {
-            return;
-        }
-        self.awaiting_first_host_response = false;
-        if let Some(death) = self.death_at_ns {
-            self.counters
-                .failover_latency
-                .observe(self.clock.now_ns().saturating_sub(death) as f64);
-        }
+        self.fd.host_served(self.clock.now_ns());
     }
 
     /// One call served entirely host-side (lease Dead, the non-probe share
@@ -1194,6 +1031,14 @@ impl ResilientSession {
         Ok(seq)
     }
 
+    /// A request the DPU datapath refused, served host-side instead. Its
+    /// slot still holds the caller's continuation: a failed enqueue never
+    /// fires it.
+    fn serve_refused(&mut self, entry: InFlight) -> Result<u64, RpcError> {
+        let cont = entry.take_cont().expect("continuation unused on Err");
+        self.call_host_direct(entry.proc_id, &entry.wire, cont)
+    }
+
     /// Starts a warm rejoin: re-establishes the connection (the ADT
     /// control blob is re-shipped and its layout digests re-verified,
     /// exactly like first contact), re-syncs the credit window and
@@ -1201,78 +1046,28 @@ impl ResilientSession {
     /// lease is Dead. With `auto_rejoin` (the default) this runs from
     /// [`ResilientSession::tick`] as soon as the device is back.
     pub fn rejoin_dpu(&mut self) -> Result<(), RpcError> {
-        let now_ns = self.clock.now_ns();
-        if !self.lease.begin_rejoin(now_ns) {
+        if self.fd.state() != LeaseState::Dead {
             return Ok(());
         }
-        self.counters
-            .lease_state
-            .set(LeaseState::Rejoining.gauge_code() as i64);
-        self.rejoin_started_ns = Some(now_ns);
+        let now_ns = self.clock.now_ns();
         match self.rebuild() {
-            Ok(replayed) => {
-                self.counters.replays.inc_by(replayed);
-                self.ramp = Some(RejoinRamp::new(self.cfg.rejoin_probe_stride));
+            Ok(()) => {
+                self.fd.begin_rejoin(now_ns);
                 Ok(())
             }
-            Err(e) => {
-                // Handshake failed (often: the device died again while
-                // the ADT was being re-shipped). Back to host-only; the
-                // next tick retries.
-                self.lease.abort_rejoin(self.clock.now_ns());
-                self.counters
-                    .lease_state
-                    .set(LeaseState::Dead.gauge_code() as i64);
-                self.rejoin_started_ns = None;
-                if e.retry_class() == RetryClass::Fatal {
-                    Err(e)
-                } else {
-                    Ok(())
-                }
-            }
-        }
-    }
-
-    /// The ramp finished: full offload service is restored.
-    fn complete_rejoin(&mut self) {
-        let now_ns = self.clock.now_ns();
-        self.lease.complete_rejoin(now_ns);
-        self.ramp = None;
-        self.hb_seq = 0; // new device incarnation restarts its sequence
-        self.counters.rejoins.inc();
-        self.counters
-            .lease_state
-            .set(LeaseState::Live.gauge_code() as i64);
-        if let Some(death) = self.death_at_ns.take() {
-            self.counters
-                .mttr
-                .observe(now_ns.saturating_sub(death) as f64);
-        }
-        self.awaiting_first_host_response = false;
-        if let Some((t, f)) = &self.flight {
-            let tnow = t.now_ns();
-            f.record_mark(self.lease.rejoins(), triggers::REJOIN, tnow, 0);
-            f.trigger(triggers::REJOIN, tnow);
-        }
-        if let (Some((_, sink)), Some(start_ns)) = (&self.trace, self.rejoin_started_ns.take()) {
-            sink.record(Span {
-                trace_id: self.lease.rejoins(),
-                stage: stages::REJOIN,
-                start_ns,
-                end_ns: now_ns,
-                bytes: 0,
-            });
+            Err(e) if e.retry_class() == RetryClass::Fatal => Err(e),
+            // The handshake failed (often: the device died again while the
+            // ADT was being re-shipped). The lease never left Dead, the
+            // host keeps serving, and the next tick retries.
+            Err(_) => Ok(()),
         }
     }
 
     fn drain_acks(&mut self) {
-        let acked: Vec<u64> = std::mem::take(&mut *self.acks.lock());
-        for seq in acked {
-            self.journal.acknowledge(seq);
-            self.slots.remove(&seq);
-            self.issued_at.remove(&seq);
+        for seq in std::mem::take(&mut *self.acks.lock()) {
+            self.fd.retire(seq);
         }
-        self.counters.journal_depth.set(self.journal.len() as i64);
+        self.counters.journal_depth.set(self.fd.in_flight() as i64);
     }
 
     /// Tears the connection down, re-establishes it (bounded attempts,
@@ -1283,37 +1078,19 @@ impl ResilientSession {
             // There is no device to re-establish against: what looked
             // like a connection failure is a whole-DPU death. Fail over
             // instead (journal replayed host-side, exactly-once).
-            self.enter_dead();
+            self.fail_over();
             return Ok(());
         }
         self.drain_acks();
         self.counters.reconnects.inc();
-        self.reconnect_seq += 1;
-        if let Some((t, f)) = &self.flight {
-            let now = t.now_ns();
-            f.record_mark(self.reconnect_seq, triggers::RECONNECT, now, 0);
-            f.trigger(triggers::RECONNECT, now);
-        }
-        let start_ns = self.trace.as_ref().map(|(t, _)| t.now_ns());
+        let nth = self.counters.reconnects.get();
+        self.mark(nth, triggers::RECONNECT, 0);
+        let start_ns = self.trace_now();
         let mut last = RpcError::Stalled { waited_ms: 0 };
         for attempt in 1..=self.cfg.reconnect_max_attempts.max(1) {
             match self.rebuild() {
-                Ok(replayed) => {
-                    self.counters.replays.inc_by(replayed);
-                    if let (Some((t, sink)), Some(start_ns)) = (&self.trace, start_ns) {
-                        sink.record(Span {
-                            trace_id: self.reconnect_seq,
-                            stage: stages::RECONNECT,
-                            start_ns,
-                            end_ns: t.now_ns(),
-                            bytes: 0,
-                        });
-                    }
-                    // Replayed work gets a fresh deadline.
-                    let now = Instant::now();
-                    for t in self.issued_at.values_mut() {
-                        *t = now;
-                    }
+                Ok(()) => {
+                    self.span_since(nth, stages::RECONNECT, start_ns, 0);
                     return Ok(());
                 }
                 Err(e) => {
@@ -1328,22 +1105,11 @@ impl ResilientSession {
         Err(last)
     }
 
-    /// One re-establishment attempt: fresh endpoints (ADT re-shipped and
-    /// re-verified), handlers re-registered, journal replayed.
-    fn rebuild(&mut self) -> Result<u64, RpcError> {
-        let ep = try_establish(
-            &self.fabric,
-            self.client_cfg,
-            self.server_cfg,
-            &self.registry,
-            &self.conn_label,
-            Some(&self.adt_bytes),
-        )?;
-        let mut client =
-            OffloadClient::new(ep.client, self.bundle.clone(), ep.control_blob.as_deref())
-                .map_err(|e| RpcError::Desync(e.to_string()))?;
-        client.rpc().set_retry_policy(self.cfg.retry);
-        client.bind_metrics(&self.registry, &self.conn_label);
+    /// One re-establishment attempt: fresh endpoints ([`Link::establish`]),
+    /// then the journal re-enqueued onto them in place — the engine keeps
+    /// the entries; replayed work gets a fresh deadline.
+    fn rebuild(&mut self) -> Result<(), RpcError> {
+        let (mut client, server) = self.link.establish(self.sched.as_ref())?;
         // Chaos knobs survive the rebuild: forced offload failures that
         // have not fired yet move to the fresh client, so deterministic
         // test schedules cannot be wiped by a surprise reconnect.
@@ -1351,75 +1117,32 @@ impl ResilientSession {
         if forced > 0 {
             client.inject_offload_failures(forced);
         }
-        let mut server = CompatServer::new(ep.server, PayloadMode::Native);
-        server.rpc().set_retry_policy(self.cfg.retry);
-        server.bind_metrics(&self.registry, &self.conn_label);
-        if let Some((t, _)) = &self.trace {
-            client.set_tracer(t, &self.conn_label);
-            server.set_tracer(t, &self.conn_label);
-        }
-        for (proc_id, handler) in &self.handlers {
-            server.register_degradable(&self.bundle, *proc_id, handler.clone());
-        }
         self.client = client;
         self.server = server;
-        if let Some(sched) = &self.sched {
-            // The fresh client knows nothing of the scheduler: re-attach
-            // the fabric-window observer so borrowing keeps tracking real
-            // credit consumption across reconnects.
-            self.client.rpc().set_credit_observer(sched.fabric());
-        }
 
         // Replay unacknowledged requests, oldest first. The server may
         // re-execute a handler whose response was lost in the old
-        // connection — at-least-once server-side — but each caller's
-        // continuation slot fires exactly once.
-        let entries: Vec<JournalEntry> = self.journal.live().cloned().collect();
-        let mut replayed = 0u64;
-        for entry in &entries {
-            let Some(slot) = self.slots.get(&entry.seq).cloned() else {
-                continue;
-            };
-            let native = entry.metadata.first().copied() != Some(MODE_SERIALIZED);
+        // connection, but each caller's continuation slot fires exactly
+        // once.
+        for (seq, entry) in self.fd.entries() {
             let mut pumps = 0u32;
-            loop {
-                let cont = make_continuation(&self.acks, entry.seq, &slot);
-                let res = if native {
-                    self.client.call_offloaded_md(
-                        entry.proc_id,
-                        &entry.payload,
-                        &entry.metadata,
-                        cont,
-                    )
-                } else {
-                    self.client.call_forwarded_md(
-                        entry.proc_id,
-                        &entry.payload,
-                        &entry.metadata,
-                        cont,
-                    )
-                };
-                match res {
-                    Ok(()) => {
-                        replayed += 1;
-                        break;
-                    }
-                    Err(e) if e.retry_class() == RetryClass::Transient => {
-                        // Backpressure: the journal can hold more than one
-                        // connection's worth of credits. Drive both loops
-                        // so responses recycle blocks, then retry.
-                        pumps += 1;
-                        if pumps > 10_000 {
-                            return Err(e);
-                        }
-                        self.server.event_loop(Duration::ZERO)?;
-                        self.client.event_loop(Duration::ZERO)?;
-                    }
-                    Err(e) => return Err(e),
+            while let Err(e) = entry.enqueue(&mut self.client, &self.acks, seq) {
+                if e.retry_class() != RetryClass::Transient {
+                    return Err(e);
                 }
+                // Backpressure: the journal can hold more than one
+                // connection's worth of credits. Drive both loops so
+                // responses recycle blocks, then retry.
+                pumps += 1;
+                if pumps > 10_000 {
+                    return Err(e);
+                }
+                self.server.event_loop(Duration::ZERO)?;
+                self.client.event_loop(Duration::ZERO)?;
             }
         }
-        Ok(replayed)
+        self.fd.restamp(self.clock.now_ns());
+        Ok(())
     }
 }
 

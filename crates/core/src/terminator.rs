@@ -18,21 +18,24 @@
 //! no completion channel, no failure domain means no journal. Routing
 //! between the layers follows [`crate::precedence`].
 
-use crate::compat::{routed_metadata, HostDirect, MODE_NATIVE, MODE_SERIALIZED};
+use crate::compat::{
+    routed_metadata, HostDirect, MODE_NATIVE, MODE_SERIALIZED, STATUS_QUARANTINED,
+    STATUS_UNAUTHENTICATED, STATUS_UNAVAILABLE,
+};
+use crate::failover::{FailureDomain, MetricNames};
 use crate::offload::OffloadClient;
 use crate::precedence::{self, Authority, ReplyStore, Verdict};
-use crate::session::{RejoinRamp, STATUS_QUARANTINED};
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use pbo_cache::ResponseCache;
 use pbo_grpc::{spawn_server, ServerHandle, ServiceRegistry};
-use pbo_metrics::{Counter, Gauge, Registry};
+use pbo_metrics::Registry;
 use pbo_policy::{PolicyEngine, Route};
 use pbo_rpcrdma::client::Continuation;
-use pbo_rpcrdma::{Heartbeat, LeaseConfig, LeaseMonitor, LeaseState, RpcError};
+use pbo_rpcrdma::{LeaseConfig, LeaseState, RpcError};
 use pbo_sched::{TenantScheduler, STATUS_SHED};
 use pbo_simnet::{QpError, TcpFabric};
 use pbo_trace::{stages, Span, SpanSink, Tracer};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -108,7 +111,7 @@ pub fn forwarding_registry(
                 // concerns (auth, deadlines) are handled HERE, off the host
                 // (§III.A). A rejected call never touches the RDMA path.
                 if metadata.get("authorization") == Some(b"deny" as &[u8]) {
-                    return 16; // UNAUTHENTICATED, decided on the DPU
+                    return STATUS_UNAUTHENTICATED; // decided on the DPU
                 }
                 let recv_ns = tracer.as_ref().map(|t| t.now_ns()).unwrap_or(0);
                 let (resp_tx, resp_rx) = bounded(1);
@@ -127,14 +130,14 @@ pub fn forwarding_registry(
                     })
                     .is_err()
                 {
-                    return 14; // UNAVAILABLE: poller gone
+                    return STATUS_UNAVAILABLE; // poller gone
                 }
                 match resp_rx.recv() {
                     Ok((status, bytes)) => {
                         out.extend_from_slice(&bytes);
                         status
                     }
-                    Err(_) => 14,
+                    Err(_) => STATUS_UNAVAILABLE,
                 }
             }),
         );
@@ -154,14 +157,14 @@ pub struct HaConfig {
     pub rejoin_probe_stride: u32,
 }
 
-/// The whole-DPU failure domain as a terminator layer (DESIGN.md §13). A
-/// lease monitor watches the RDMA datapath for loud deaths (transport
-/// errors classified as device deaths) and silent wedges (requests
-/// outstanding past the lease deadline, a rejoin ramp's probes included).
-/// On death the poller fails over to `host`: in-flight requests are
-/// replayed there in submission order, held and queued scheduler grants
-/// drain into it with per-tenant accounting preserved, and later requests
-/// are served host-direct, so the xRPC listener never goes dark.
+/// The whole-DPU failure domain as a terminator layer (DESIGN.md §13):
+/// the poller runs the shared failure-domain engine (`failover.rs`) over
+/// the requests it has in flight. A loud death (a transport error
+/// classified as a device death) or a silent wedge (the engine's deadline
+/// rules) fails over to `host`: in-flight requests are replayed there in
+/// submission order, held and queued scheduler grants drain into it with
+/// per-tenant accounting preserved, and later requests are served
+/// host-direct, so the xRPC listener never goes dark.
 pub struct HaLayer {
     /// The host-only datapath: the compat server's business logic without
     /// the fabric.
@@ -172,8 +175,9 @@ pub struct HaLayer {
     pub rejoin_rx: Receiver<OffloadClient>,
     /// Lease and ramp knobs.
     pub config: HaConfig,
-    /// Where the `terminator_*` recovery counters and lease gauges are
-    /// registered, labeled `conn={conn_label}`.
+    /// Where the `terminator_*` recovery counters, lease gauges and
+    /// failover-latency / MTTR histograms are registered, labeled
+    /// `conn={conn_label}`.
     pub registry: Arc<Registry>,
 }
 
@@ -190,7 +194,7 @@ pub struct Layers {
     /// Per-class choice between DPU- and host-deserialization, fed by the
     /// work-unit counts of DPU-side deserializations. The route's mode
     /// byte leads the forwarded metadata ([`routed_metadata`]): register
-    /// host handlers with [`crate::CompatServer::register_degradable_md`].
+    /// host handlers with [`crate::CompatServer::register_degradable`].
     pub policy: Option<PolicyEngine>,
     /// Declared-cacheable classes are answered at intake (a hit still
     /// pays one cost-1 admission token); native status-0 replies populate
@@ -241,10 +245,7 @@ impl XrpcTerminator {
         mut client: OffloadClient,
         mut layers: Layers,
     ) -> Self {
-        client.set_tracer(&layers.tracer, &layers.conn_label);
-        if let Some(sched) = &layers.sched {
-            client.rpc().set_credit_observer(sched.fabric());
-        }
+        client.wire(&layers.tracer, &layers.conn_label, layers.sched.as_ref());
         if let Some(policy) = &mut layers.policy {
             policy.set_tracer(&layers.tracer, &layers.conn_label);
         }
@@ -377,73 +378,6 @@ struct Granted {
     verdict: Verdict,
 }
 
-/// The HA layer's state inside the loop.
-struct Ha {
-    layer: HaLayer,
-    lease: LeaseMonitor,
-    hb_seq: u64,
-    /// Requests accepted by the RDMA client and awaiting completion, with
-    /// their submission times, keyed by submission sequence (= replay
-    /// order after a death).
-    journal: BTreeMap<u64, (u64, Granted)>,
-    /// Present only while Rejoining.
-    ramp: Option<RejoinRamp>,
-    rejoin_started_wall: u64,
-    failovers: Counter,
-    rejoins: Counter,
-    replayed: Counter,
-    host_served: Counter,
-    lease_state: Gauge,
-    lease_time_in_state: Gauge,
-}
-
-impl Ha {
-    fn new(layer: HaLayer, conn: &str) -> Self {
-        let l = [("conn", conn)];
-        let counter = |name, help| layer.registry.counter(name, help, &l);
-        let gauge = |name, help| layer.registry.gauge(name, help, &l);
-        // The gauges start at 0: Live, no time in state.
-        Self {
-            failovers: counter(
-                "terminator_failovers_total",
-                "Whole-DPU failovers to the host-only datapath",
-            ),
-            rejoins: counter(
-                "terminator_rejoins_total",
-                "Warm rejoins that restored full offload service",
-            ),
-            replayed: counter(
-                "terminator_replayed_requests_total",
-                "In-flight requests replayed through the host after a DPU death",
-            ),
-            host_served: counter(
-                "terminator_host_served_total",
-                "Requests served by the host-direct fallback datapath",
-            ),
-            lease_state: gauge(
-                "terminator_lease_state",
-                "DPU lease state (0=live 1=suspect 2=dead 3=rejoining)",
-            ),
-            lease_time_in_state: gauge(
-                "terminator_lease_time_in_state_ns",
-                "Nanoseconds the DPU lease has spent in its current state",
-            ),
-            lease: LeaseMonitor::new(layer.config.lease, 0),
-            layer,
-            hb_seq: 0,
-            journal: BTreeMap::new(),
-            ramp: None,
-            rejoin_started_wall: 0,
-        }
-    }
-
-    fn publish_lease_state(&self, now_ns: u64) {
-        self.lease_state.set(self.lease.state().gauge_code() as i64);
-        let in_state_ns = self.lease.time_in_state_ns(now_ns);
-        self.lease_time_in_state.set(in_state_ns as i64);
-    }
-}
-
 /// A completion notice from a response continuation back to the loop:
 /// `(submission sequence, tenant grant)`.
 type Done = (u64, usize);
@@ -467,7 +401,9 @@ struct Poller {
     sched: Option<TenantScheduler<ForwardRequest>>,
     policy: Option<PolicyEngine>,
     cache: Option<ResponseCache>,
-    ha: Option<Ha>,
+    /// The HA layer and the failure-domain engine over what this loop has
+    /// in flight on the DPU datapath.
+    ha: Option<(HaLayer, FailureDomain<Granted>)>,
     trace: Option<SpanSink>,
     tracer: Tracer,
     conn_label: String,
@@ -493,7 +429,13 @@ impl Poller {
         layers: Layers,
         trace: Option<SpanSink>,
     ) -> Self {
-        let ha = layers.ha.map(|layer| Ha::new(layer, &layers.conn_label));
+        let ha = layers.ha.map(|layer| {
+            let (lease, stride) = (layer.config.lease, layer.config.rejoin_probe_stride);
+            let names = MetricNames::TERMINATOR;
+            let fd =
+                FailureDomain::new(lease, stride, 0, &layer.registry, names, &layers.conn_label);
+            (layer, fd)
+        });
         Self {
             client: Some(client),
             rx,
@@ -541,7 +483,7 @@ impl Poller {
     fn lease_state(&self) -> LeaseState {
         self.ha
             .as_ref()
-            .map_or(LeaseState::Live, |ha| ha.lease.state())
+            .map_or(LeaseState::Live, |(_, fd)| fd.state())
     }
 
     fn run(mut self) -> Result<(), RpcError> {
@@ -572,22 +514,18 @@ impl Poller {
     /// connection's tracer and credit window (the sub-pools re-sync
     /// against the reset fabric window) and starts the ramp.
     fn rejoin_intake(&mut self, now_ns: u64) {
-        let Some(ha) = &mut self.ha else { return };
-        if ha.lease.state() != LeaseState::Dead {
-            return;
-        }
-        let Ok(mut fresh) = ha.layer.rejoin_rx.try_recv() else {
+        let Some((layer, fd)) = &mut self.ha else {
             return;
         };
-        fresh.set_tracer(&self.tracer, &self.conn_label);
-        if let Some(sched) = &self.sched {
-            fresh.rpc().set_credit_observer(sched.fabric());
+        if fd.state() != LeaseState::Dead {
+            return;
         }
+        let Ok(mut fresh) = layer.rejoin_rx.try_recv() else {
+            return;
+        };
+        fresh.wire(&self.tracer, &self.conn_label, self.sched.as_ref());
         self.client = Some(fresh);
-        ha.lease.begin_rejoin(now_ns);
-        ha.publish_lease_state(now_ns);
-        ha.ramp = Some(RejoinRamp::new(ha.layer.config.rejoin_probe_stride));
-        ha.rejoin_started_wall = self.tracer.now_ns();
+        fd.begin_rejoin(now_ns);
     }
 
     /// Classifies what the xRPC side has forwarded: cache hits are
@@ -662,8 +600,8 @@ impl Poller {
             if let Some(sched) = &mut self.sched {
                 sched.complete(tenant);
             }
-            if let Some(ha) = &mut self.ha {
-                ha.journal.remove(&seq);
+            if let Some((_, fd)) = &mut self.ha {
+                fd.retire(seq);
             }
             completed += 1;
         }
@@ -686,8 +624,8 @@ impl Poller {
         };
         let lease = self.lease_state();
         let (policy, epoch) = (&mut self.policy, self.epoch);
-        let ramp = self.ha.as_mut().and_then(|ha| ha.ramp.as_mut());
-        let ramp_probe = || ramp.is_some_and(|r| r.probe());
+        let fd = self.ha.as_mut().map(|(_, fd)| fd);
+        let ramp_probe = || fd.is_some_and(FailureDomain::ramp_probe);
         let policy = || {
             let policy = policy.as_mut()?;
             let now_ns = epoch.elapsed().as_nanos() as u64;
@@ -838,21 +776,15 @@ impl Poller {
             }
         }
         self.next_seq += 1;
-        let Some(ha) = &mut self.ha else { return };
+        let Some((_, fd)) = &mut self.ha else { return };
         let now_ns = self.epoch.elapsed().as_nanos() as u64;
-        // An accepted probe halves the ramp stride; stride 1 means the
+        let probe = g.verdict.by == Authority::Ramp;
+        fd.record(self.next_seq - 1, now_ns, g);
+        // An accepted probe halves the ramp stride; the last one means the
         // DPU is carrying full traffic again.
-        let ramp_done = g.verdict.by == Authority::Ramp
-            && ha.ramp.as_mut().is_some_and(|r| r.on_probe_success());
-        ha.journal.insert(self.next_seq - 1, (now_ns, g));
-        if ramp_done {
-            ha.lease.complete_rejoin(now_ns);
-            ha.publish_lease_state(now_ns);
-            ha.rejoins.inc();
-            ha.ramp = None;
-            ha.hb_seq = 0;
-            let started_wall = ha.rejoin_started_wall;
-            self.event_span(stages::REJOIN, started_wall, 0);
+        if let Some(took_ns) = probe.then(|| fd.probe_accepted(now_ns)).flatten() {
+            let began_ns = self.tracer.now_ns().saturating_sub(took_ns);
+            self.event_span(stages::REJOIN, began_ns, 0);
         }
     }
 
@@ -860,27 +792,28 @@ impl Poller {
     /// scheduler grant. Poison and unknown procedures answer
     /// [`STATUS_QUARANTINED`], same as the DPU path.
     fn serve_host(&mut self, g: &Granted) {
-        let ha = self
+        let (layer, fd) = self
             .ha
             .as_mut()
             .expect("host-direct routes exist only under the HA layer");
         let mut out = Vec::new();
-        let host = &mut ha.layer.host;
-        let status = host
+        let status = layer
+            .host
             .dispatch(g.req.proc_id, &g.req.wire, &mut out)
             .unwrap_or(STATUS_QUARANTINED);
         let _ = g.req.resp_tx.send((status, out));
         if let Some(sched) = &mut self.sched {
             sched.complete(g.tenant);
         }
-        ha.host_served.inc();
+        fd.host_served(self.epoch.elapsed().as_nanos() as u64);
     }
 
-    /// The whole-DPU failover: the lease goes Dead (also from mid-rejoin),
-    /// the cache is flushed, the dead client dropped (its continuations
-    /// die unfired, so each replayed request answers its xRPC slot exactly
-    /// once), the fabric credit window invalidated, and the held request
-    /// plus every in-flight one drained into the host path in order.
+    /// The whole-DPU failover, this loop's share of it (the engine counts
+    /// the death and hands back what was in flight): the cache is flushed,
+    /// the dead client dropped (its continuations die unfired, so each
+    /// replayed request answers its xRPC slot exactly once), the fabric
+    /// credit window invalidated, and the held request plus every
+    /// in-flight one drained into the host path in order.
     fn failover(&mut self) {
         // Anything that completed before the death already returned its
         // grant and left the journal: collect those first so they are not
@@ -888,67 +821,37 @@ impl Poller {
         self.return_grants();
         let now_ns = self.now_ns();
         let wall_start = self.tracer.now_ns();
-        let ha = self.ha.as_mut().expect("failover needs the HA layer");
-        if !ha.lease.abort_rejoin(now_ns) {
-            ha.lease.declare_dead(now_ns);
-        }
-        ha.ramp = None;
-        ha.failovers.inc();
-        ha.publish_lease_state(now_ns);
+        let (_, fd) = self.ha.as_mut().expect("failover needs the HA layer");
+        let Some(in_flight) = fd.declare_dead(now_ns) else {
+            return;
+        };
         precedence::flush_on_fault(self.cache.as_ref());
         self.client = None;
         if let Some(sched) = &self.sched {
             // The credit window tracked blocks the dead DPU will never ack.
             sched.fabric().reset();
         }
-        let journal = std::mem::take(&mut ha.journal);
-        let replayed = journal.len() as u64;
-        ha.replayed.inc_by(replayed);
         let held = self.pending.take();
-        for g in held.iter().chain(journal.values().map(|(_, g)| g)) {
+        for g in held.iter().chain(in_flight.iter().map(|(_, g)| g)) {
             self.serve_host(g);
         }
-        self.event_span(stages::FAILOVER, wall_start, replayed);
+        self.event_span(stages::FAILOVER, wall_start, in_flight.len() as u64);
     }
 
-    /// Lease maintenance. Live/Suspect: an iteration with completions (or
-    /// nothing outstanding) renews; a silently wedged DPU stops renewing
-    /// and the deadline takes it to Suspect, then Dead. Rejoining: the
-    /// monitor leaves that state only on an explicit verdict, so a DPU
-    /// that wedges mid-ramp is caught here — a probe outstanding past the
-    /// lease deadline aborts the rejoin. Either way the failover replays
-    /// what was in flight.
+    /// Lease maintenance: an iteration with completions (or nothing
+    /// outstanding) renews the lease; the engine's deadline rules turn a
+    /// silently wedged DPU — mid-ramp included — into a failover that
+    /// replays what was in flight.
     fn lease_upkeep(&mut self, completed: u64) {
-        let Some(ha) = &mut self.ha else { return };
+        let Some((_, fd)) = &mut self.ha else { return };
         let now_ns = self.epoch.elapsed().as_nanos() as u64;
-        let silent_ns = match ha.lease.state() {
-            LeaseState::Live | LeaseState::Suspect => {
-                if completed > 0 || ha.journal.is_empty() {
-                    ha.hb_seq += 1;
-                    let hb = Heartbeat {
-                        seq: ha.hb_seq,
-                        queue_depth: self.sched.as_ref().map_or(0, |s| s.queued()) as u32,
-                        credits_in_use: ha.journal.len() as u32,
-                    };
-                    ha.lease.on_heartbeat(hb, now_ns);
-                }
-                let cur = ha.lease.poll(now_ns);
-                (cur == LeaseState::Dead).then(|| now_ns.saturating_sub(ha.lease.last_renewal_ns()))
-            }
-            LeaseState::Rejoining => {
-                let deadline_ns = ha.layer.config.lease.deadline().as_nanos() as u64;
-                let oldest = ha.journal.values().next();
-                oldest
-                    .map(|(submitted_ns, _)| now_ns.saturating_sub(*submitted_ns))
-                    .filter(|&age_ns| age_ns >= deadline_ns)
-            }
-            LeaseState::Dead => None,
-        };
-        ha.publish_lease_state(now_ns);
-        if let Some(silent_ns) = silent_ns {
+        if completed > 0 || fd.in_flight() == 0 {
+            fd.renew(now_ns, self.sched.as_ref().map_or(0, |s| s.queued()) as u32);
+        }
+        if let Some(silent_ns) = fd.poll(now_ns) {
             // Detection latency: last sign of life → declaration.
+            let depth = fd.lease().last_heartbeat().queue_depth as u64;
             let since = self.tracer.now_ns().saturating_sub(silent_ns);
-            let depth = ha.lease.last_heartbeat().queue_depth as u64;
             self.event_span(stages::LEASE_WAIT, since, depth);
             self.failover();
         }
@@ -981,7 +884,7 @@ impl Poller {
     fn wait(&mut self) -> Result<bool, RpcError> {
         let drained = self.pending.is_none()
             && self.queued() == 0
-            && self.ha.as_ref().is_none_or(|ha| ha.journal.is_empty());
+            && self.ha.as_ref().is_none_or(|(_, fd)| fd.in_flight() == 0);
         let client = &mut self.client;
         let park = client
             .as_mut()
@@ -1212,10 +1115,6 @@ mod tests {
             let (status, _) = ch.call_raw(1, &wire).unwrap();
             assert_eq!(status, 0);
         }
-        assert_eq!(
-            registry.counter_value("terminator_failovers_total", &HA),
-            Some(0)
-        );
 
         // Kill the DPU: the next send-side fabric op dies loudly. Every
         // call must still be answered, now by the host fallback.
@@ -1282,7 +1181,8 @@ mod tests {
     /// host side never polls, no transport error is ever raised) must not
     /// strand the ramp's probes: the probe outstanding past the lease
     /// deadline aborts the rejoin, is replayed host-side, and the poller
-    /// still joins.
+    /// still joins. (What the abort counts as is the engine's to assert:
+    /// `failover::tests::probe_outstanding_past_the_deadline_aborts_the_rejoin`.)
     #[test]
     fn ha_layer_survives_wedge_mid_rejoin() {
         let rdma = Fabric::new();
@@ -1322,14 +1222,6 @@ mod tests {
             registry.gauge_value("terminator_lease_state", &HA),
             Some(2),
             "the wedged rejoin must fall back to Dead"
-        );
-        assert_eq!(
-            registry.counter_value("terminator_failovers_total", &HA),
-            Some(2)
-        );
-        assert_eq!(
-            registry.counter_value("terminator_rejoins_total", &HA),
-            Some(0)
         );
 
         terminator.shutdown().unwrap();

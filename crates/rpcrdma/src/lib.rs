@@ -60,7 +60,7 @@ pub use error::{classify_qp, RetryClass, RpcError};
 pub use integrity::{crc32c, INTEGRITY_NACK};
 pub use lease::{Heartbeat, LeaseConfig, LeaseMonitor, LeaseState};
 pub use poller::ServerPoller;
-pub use retry::{JournalEntry, ReplayJournal, RetryPolicy};
+pub use retry::RetryPolicy;
 pub use server::{
     NativeResponse, Request, ResponseSink, RpcServer, ServerMetricsSnapshot, WriterHandler,
 };

@@ -1,14 +1,7 @@
-//! Retry policy and in-flight replay journal — the protocol-level
-//! primitives of the fault-tolerant session layer.
-//!
-//! [`RetryPolicy`] bounds how long an endpoint keeps absorbing
-//! [`crate::RetryClass::Transient`] failures before escalating to a
-//! reconnect. [`ReplayJournal`] keeps the serialized bytes of every
-//! request from enqueue until its response arrives (the implicit ack), so
-//! a supervisor can replay the unacknowledged tail onto a fresh
-//! connection after a [`crate::RetryClass::Reconnect`]-class failure.
+//! Retry policy: [`RetryPolicy`] bounds how long an endpoint keeps
+//! absorbing [`crate::RetryClass::Transient`] failures before escalating
+//! to a reconnect.
 
-use std::collections::VecDeque;
 use std::time::Duration;
 
 /// Bounded exponential backoff for transient failures.
@@ -44,82 +37,6 @@ impl RetryPolicy {
     }
 }
 
-/// One journaled request: everything needed to re-enqueue it verbatim.
-#[derive(Clone, Debug)]
-pub struct JournalEntry {
-    /// Session-level sequence number (assigned by the caller; replay
-    /// happens in this order).
-    pub seq: u64,
-    /// Procedure id.
-    pub proc_id: u16,
-    /// Serialized payload bytes as originally enqueued.
-    pub payload: Vec<u8>,
-    /// Call metadata as originally enqueued.
-    pub metadata: Vec<u8>,
-}
-
-/// FIFO journal of in-flight requests, pruned as responses arrive.
-///
-/// The journal holds *serialized* bytes — not continuations — so entries
-/// are cheap to clone onto a fresh connection. Exactly-once delivery is
-/// the caller's concern (a continuation slot that fires at most once);
-/// the journal guarantees each unacknowledged request is replayed exactly
-/// once per reconnect, in enqueue order.
-#[derive(Default)]
-pub struct ReplayJournal {
-    entries: VecDeque<JournalEntry>,
-    /// Journal high-water mark, for capacity monitoring.
-    peak: usize,
-}
-
-impl ReplayJournal {
-    /// Creates an empty journal.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a request at enqueue time.
-    pub fn record(&mut self, entry: JournalEntry) {
-        self.entries.push_back(entry);
-        self.peak = self.peak.max(self.entries.len());
-    }
-
-    /// Drops the entry for `seq` — its response arrived (implicit ack).
-    pub fn acknowledge(&mut self, seq: u64) {
-        if let Some(pos) = self.entries.iter().position(|e| e.seq == seq) {
-            self.entries.remove(pos);
-        }
-    }
-
-    /// Unacknowledged entries, oldest first.
-    pub fn live(&self) -> impl Iterator<Item = &JournalEntry> {
-        self.entries.iter()
-    }
-
-    /// Number of unacknowledged entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is in flight.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Most entries ever simultaneously live.
-    pub fn peak(&self) -> usize {
-        self.peak
-    }
-
-    /// Total journaled payload + metadata bytes currently held.
-    pub fn bytes(&self) -> usize {
-        self.entries
-            .iter()
-            .map(|e| e.payload.len() + e.metadata.len())
-            .sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,28 +53,5 @@ mod tests {
         assert_eq!(p.backoff(4), Duration::from_micros(800));
         assert_eq!(p.backoff(5), Duration::from_millis(1));
         assert_eq!(p.backoff(40), Duration::from_millis(1)); // no overflow
-    }
-
-    #[test]
-    fn journal_replays_only_the_unacked_tail_in_order() {
-        let mut j = ReplayJournal::new();
-        for seq in 0..4u64 {
-            j.record(JournalEntry {
-                seq,
-                proc_id: 1,
-                payload: vec![seq as u8],
-                metadata: vec![],
-            });
-        }
-        j.acknowledge(1);
-        j.acknowledge(3);
-        let live: Vec<u64> = j.live().map(|e| e.seq).collect();
-        assert_eq!(live, vec![0, 2]);
-        assert_eq!(j.len(), 2);
-        assert_eq!(j.peak(), 4);
-        j.acknowledge(0);
-        j.acknowledge(2);
-        assert!(j.is_empty());
-        assert_eq!(j.bytes(), 0);
     }
 }

@@ -19,8 +19,8 @@ use pbo_core::compat::PayloadMode;
 use pbo_core::terminator::{ForwardMode, ForwardRequest, Layers};
 use pbo_core::{
     CacheConfig, CompatServer, OffloadClient, ResilientSession, ResponseCache, SchedConfig,
-    ServiceSchema, SessionConfig, StoreOutcome, TenantScheduler, TenantSpec, XrpcTerminator,
-    STATUS_QUARANTINED, STATUS_SHED,
+    ServiceSchema, SessionConfig, SessionLayers, StoreOutcome, TenantScheduler, TenantSpec,
+    XrpcTerminator, STATUS_QUARANTINED, STATUS_SHED,
 };
 use pbo_grpc::GrpcChannel;
 use pbo_metrics::Registry;
@@ -41,9 +41,32 @@ fn cached_session(
     session_cfg: SessionConfig,
     cache_cfg: CacheConfig,
 ) -> (ResilientSession, Arc<Registry>, Fabric) {
+    scheduled_cached_session(label, session_cfg, cache_cfg, None)
+}
+
+/// [`cached_session`] with a tenant scheduler (metrics bound to the
+/// session's registry) in front of [`ResilientSession::call_tenant`].
+fn scheduled_cached_session(
+    label: &str,
+    session_cfg: SessionConfig,
+    cache_cfg: CacheConfig,
+    sched_cfg: Option<SchedConfig>,
+) -> (ResilientSession, Arc<Registry>, Fabric) {
     let fabric = Fabric::new();
     let registry = Arc::new(Registry::new());
-    let mut session = ResilientSession::new(
+    let cache = ResponseCache::new(cache_cfg);
+    cache.declare_default(1);
+    let sched = sched_cfg.map(|cfg| {
+        let mut sched: TenantScheduler<()> = TenantScheduler::new(cfg);
+        sched.bind_metrics(&registry);
+        sched
+    });
+    let layers = SessionLayers {
+        sched,
+        cache: Some(cache),
+        ..SessionLayers::default()
+    };
+    let mut session = ResilientSession::with_layers(
         fabric.clone(),
         ServiceSchema::paper_bench(),
         Config::test_small(),
@@ -51,6 +74,7 @@ fn cached_session(
         registry.clone(),
         label,
         session_cfg,
+        layers,
     )
     .unwrap();
     session.register(
@@ -60,9 +84,6 @@ fn cached_session(
             0
         }),
     );
-    let cache = ResponseCache::new(cache_cfg);
-    cache.declare_default(1);
-    session.set_cache(cache);
     (session, registry, fabric)
 }
 
@@ -286,18 +307,20 @@ fn quarantined_responses_are_never_cached() {
 
 #[test]
 fn shed_responses_are_never_cached() {
-    let (mut session, registry, _fabric) =
-        cached_session("shed", SessionConfig::default(), CacheConfig::default());
     // Burst-1 bucket: the first call is admitted, an immediate second is
     // shed before it reaches the cache or the datapath.
-    let mut sched: TenantScheduler<()> = TenantScheduler::new(SchedConfig {
+    let sched_cfg = SchedConfig {
         tenants: vec![TenantSpec::new("hog", 1)],
         bucket_rate: 1.0,
         bucket_burst: 1.0,
         ..SchedConfig::default()
-    });
-    sched.bind_metrics(&registry);
-    session.set_scheduler(sched);
+    };
+    let (mut session, _registry, _fabric) = scheduled_cached_session(
+        "shed",
+        SessionConfig::default(),
+        CacheConfig::default(),
+        Some(sched_cfg),
+    );
 
     let admitted_wire = encode_message(&gen_small(&paper_schema()));
     let mut rng = Mt19937::new(5);

@@ -93,7 +93,7 @@ fn incarnation(
     server.set_tracer(tracer, CONN);
     for proc_id in [SMALL, INTS, CHARS] {
         let h = logic(proc_id);
-        server.register_degradable_md(&bundle, proc_id, Arc::new(move |_md, v, out| h(v, out)));
+        server.register_degradable(&bundle, proc_id, Arc::new(move |_md, v, out| h(v, out)));
     }
     let stop = stop.clone();
     let host = std::thread::spawn(move || {

@@ -2,7 +2,7 @@
 //! telemetry endpoint — deterministic faults must surface as flight
 //! dumps, health degradation, and scrapeable metrics.
 
-use pbo_core::{ResilientSession, ServiceSchema, SessionConfig};
+use pbo_core::{ResilientSession, ServiceSchema, SessionConfig, SessionLayers};
 use pbo_metrics::{Registry, SlidingConfig, SloSpec, SloTracker};
 use pbo_protowire::encode_message;
 use pbo_protowire::workloads::{gen_small, paper_schema};
@@ -14,13 +14,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn session_with(registry: &Arc<Registry>, label: &str) -> ResilientSession {
+fn session_with(registry: &Arc<Registry>, label: &str, tracer: &Tracer) -> ResilientSession {
     let cfg = SessionConfig {
         breaker_threshold: 2,
         breaker_probe_every: 3,
         ..Default::default()
     };
-    let mut session = ResilientSession::new(
+    let layers = SessionLayers {
+        tracer: tracer.clone(),
+        ..SessionLayers::default()
+    };
+    let mut session = ResilientSession::with_layers(
         Fabric::new(),
         ServiceSchema::paper_bench(),
         Config::test_small(),
@@ -28,6 +32,7 @@ fn session_with(registry: &Arc<Registry>, label: &str) -> ResilientSession {
         registry.clone(),
         label,
         cfg,
+        layers,
     )
     .unwrap();
     session.register(
@@ -75,8 +80,7 @@ fn forced_breaker_trip_produces_flight_dump_at_flight_endpoint() {
     flight.bind_metrics(&registry);
     tracer.set_flight(&flight);
 
-    let mut session = session_with(&registry, "lt0");
-    session.set_tracer(&tracer);
+    let mut session = session_with(&registry, "lt0", &tracer);
 
     let telemetry = Telemetry::new(registry.clone());
     telemetry.attach_tracer(&tracer);
@@ -139,8 +143,7 @@ fn forced_reconnect_triggers_flight_dump() {
     let tracer = Tracer::disabled();
     let flight = FlightRecorder::new(32, 2);
     tracer.set_flight(&flight);
-    let mut session = session_with(&registry, "lt1");
-    session.set_tracer(&tracer);
+    let mut session = session_with(&registry, "lt1", &tracer);
 
     let wire = encode_message(&gen_small(&paper_schema()));
     let done = Arc::new(AtomicU64::new(0));
@@ -167,8 +170,7 @@ fn sampled_session_feeds_slo_tracker_through_trace_sinks() {
     slo.add(SloSpec::p99("e2e_p99", stages::RESPONSE, 1e12));
     tracer.bind_slo(&slo);
 
-    let mut session = session_with(&registry, "lt2");
-    session.set_tracer(&tracer);
+    let mut session = session_with(&registry, "lt2", &tracer);
 
     let telemetry = Telemetry::new(registry.clone());
     telemetry.attach_tracer(&tracer);

@@ -19,7 +19,7 @@ use pbo_core::compat::PayloadMode;
 use pbo_core::terminator::{run_poller, ForwardMode, ForwardRequest, Layers, XrpcTerminator};
 use pbo_core::{
     CompatServer, OffloadClient, ResilientSession, SchedConfig, ServiceSchema, SessionConfig,
-    TenantScheduler, TenantSpec, STATUS_SHED,
+    SessionLayers, TenantScheduler, TenantSpec, STATUS_SHED,
 };
 use pbo_grpc::{GrpcChannel, Metadata};
 use pbo_metrics::Registry;
@@ -318,7 +318,18 @@ fn paced_light_tenant_p99_survives_heavy_backlog() {
 #[test]
 fn session_overload_sheds_retryably_without_tripping_breaker() {
     let registry = Arc::new(Registry::new());
-    let mut session = ResilientSession::new(
+    let mut sched: TenantScheduler<()> = TenantScheduler::new(SchedConfig {
+        tenants: vec![TenantSpec::new("hog", 1)],
+        bucket_rate: 1000.0,
+        bucket_burst: 16.0,
+        ..SchedConfig::default()
+    });
+    sched.bind_metrics(&registry);
+    let layers = SessionLayers {
+        sched: Some(sched),
+        ..SessionLayers::default()
+    };
+    let mut session = ResilientSession::with_layers(
         Fabric::new(),
         ServiceSchema::paper_bench(),
         Config::test_small(),
@@ -326,6 +337,7 @@ fn session_overload_sheds_retryably_without_tripping_breaker() {
         registry.clone(),
         "shed",
         SessionConfig::default(),
+        layers,
     )
     .unwrap();
     session.register(
@@ -335,14 +347,6 @@ fn session_overload_sheds_retryably_without_tripping_breaker() {
             0
         }),
     );
-    let mut sched: TenantScheduler<()> = TenantScheduler::new(SchedConfig {
-        tenants: vec![TenantSpec::new("hog", 1)],
-        bucket_rate: 1000.0,
-        bucket_burst: 16.0,
-        ..SchedConfig::default()
-    });
-    sched.bind_metrics(&registry);
-    session.set_scheduler(sched);
 
     let wire = encode_message(&gen_small(&paper_schema()));
     let ok = Arc::new(std::sync::atomic::AtomicU64::new(0));
@@ -501,23 +505,6 @@ fn noisy_neighbor(seed: u32) {
         reconnect_backoff: Duration::from_micros(50),
         ..SessionConfig::default()
     };
-    let mut session = ResilientSession::new(
-        fabric.clone(),
-        ServiceSchema::paper_bench(),
-        Config::test_small(),
-        Config::test_small(),
-        registry.clone(),
-        "noisy",
-        cfg,
-    )
-    .unwrap();
-    session.register(
-        1,
-        Arc::new(|view, out| {
-            out.extend_from_slice(&view.get_u32(1).unwrap().to_le_bytes());
-            0
-        }),
-    );
     // Victim weight 50 → effectively unlimited bucket for its paced load;
     // the flooding tenant gets a 500/s, burst-64 bucket that its tight
     // loop overruns immediately.
@@ -528,7 +515,28 @@ fn noisy_neighbor(seed: u32) {
         ..SchedConfig::default()
     });
     sched.bind_metrics(&registry);
-    session.set_scheduler(sched);
+    let layers = SessionLayers {
+        sched: Some(sched),
+        ..SessionLayers::default()
+    };
+    let mut session = ResilientSession::with_layers(
+        fabric.clone(),
+        ServiceSchema::paper_bench(),
+        Config::test_small(),
+        Config::test_small(),
+        registry.clone(),
+        "noisy",
+        cfg,
+        layers,
+    )
+    .unwrap();
+    session.register(
+        1,
+        Arc::new(|view, out| {
+            out.extend_from_slice(&view.get_u32(1).unwrap().to_le_bytes());
+            0
+        }),
+    );
 
     // Connection kills spread across the run, seeded like the main soak.
     let mut rng = Mt19937::new(seed);

@@ -15,7 +15,7 @@
 //!   poison-quarantine contract, under the same chaos schedule the
 //!   robustness soak uses.
 
-use pbo_core::{ResilientSession, ServiceSchema, SessionConfig};
+use pbo_core::{ResilientSession, ServiceSchema, SessionConfig, SessionLayers};
 use pbo_dpusim::route_prior;
 use pbo_metrics::Registry;
 use pbo_policy::{PolicyConfig, PolicyEngine, Route};
@@ -109,19 +109,6 @@ fn call_n(session: &mut ResilientSession, n: usize, proc_id: u16, wire: &[u8], e
 fn adaptive_routing_splits_classes_across_the_datapath() {
     let (ints, chars) = profiles();
     let registry = Arc::new(Registry::new());
-    let mut session = ResilientSession::new(
-        Fabric::new(),
-        ServiceSchema::paper_bench(),
-        Config::test_small(),
-        Config::test_small(),
-        registry.clone(),
-        "pol-a",
-        SessionConfig::default(),
-    )
-    .unwrap();
-    session.register(2, Arc::new(|_view, _out| 0));
-    session.register(3, Arc::new(|_view, _out| 0));
-
     let cfg = PolicyConfig {
         probe_every: 5,
         ..PolicyConfig::default()
@@ -145,7 +132,23 @@ fn adaptive_routing_splits_classes_across_the_datapath() {
     let mut engine = PolicyEngine::new(cfg);
     engine.register_class(2, "ints512", Some(ints_prior), 0);
     engine.register_class(3, "chars8000", Some(chars_prior), 0);
-    session.set_policy(engine);
+    let layers = SessionLayers {
+        policy: Some(engine),
+        ..SessionLayers::default()
+    };
+    let mut session = ResilientSession::with_layers(
+        Fabric::new(),
+        ServiceSchema::paper_bench(),
+        Config::test_small(),
+        Config::test_small(),
+        registry.clone(),
+        "pol-a",
+        SessionConfig::default(),
+        layers,
+    )
+    .unwrap();
+    session.register(2, Arc::new(|_view, _out| 0));
+    session.register(3, Arc::new(|_view, _out| 0));
 
     for _ in 0..20 {
         call_one(&mut session, 2, &ints.wire, 0);
@@ -206,23 +209,6 @@ fn breaker_degrades_are_not_policy_decisions_and_recovery_reconsults() {
         breaker_probe_every: 3,
         ..Default::default()
     };
-    let mut session = ResilientSession::new(
-        Fabric::new(),
-        ServiceSchema::paper_bench(),
-        Config::test_small(),
-        Config::test_small(),
-        registry.clone(),
-        "pol-b",
-        cfg,
-    )
-    .unwrap();
-    session.register(
-        1,
-        Arc::new(|view, out| {
-            out.extend_from_slice(&view.get_u32(1).unwrap().to_le_bytes());
-            0
-        }),
-    );
     // Deterministic engine: no dwell, estimate fully replaced per
     // observation, no probes, and no background re-evaluation (the
     // session's tick-driven refresh is disabled so only this test's
@@ -242,7 +228,28 @@ fn breaker_degrades_are_not_policy_decisions_and_recovery_reconsults() {
     );
     let mut engine = PolicyEngine::new(pcfg);
     engine.register_class(1, "small", Some(prior), 0);
-    session.set_policy(engine);
+    let layers = SessionLayers {
+        policy: Some(engine),
+        ..SessionLayers::default()
+    };
+    let mut session = ResilientSession::with_layers(
+        Fabric::new(),
+        ServiceSchema::paper_bench(),
+        Config::test_small(),
+        Config::test_small(),
+        registry.clone(),
+        "pol-b",
+        cfg,
+        layers,
+    )
+    .unwrap();
+    session.register(
+        1,
+        Arc::new(|view, out| {
+            out.extend_from_slice(&view.get_u32(1).unwrap().to_le_bytes());
+            0
+        }),
+    );
     let wire = encode_message(&gen_small(&paper_schema()));
     let labels = [("conn", "pol-b")];
     let dpu = |r: &Registry| {
@@ -354,23 +361,6 @@ fn mid_stream_flip_soak(seed: u32) {
         breaker_probe_every: 4,
         ..Default::default()
     };
-    let mut session = ResilientSession::new(
-        fabric.clone(),
-        bundle,
-        link_cfg,
-        link_cfg,
-        registry.clone(),
-        &conn,
-        cfg,
-    )
-    .unwrap();
-    session.register(
-        1,
-        Arc::new(|view, out| {
-            out.extend_from_slice(&view.get_u32(1).unwrap().to_le_bytes());
-            0
-        }),
-    );
     let pcfg = PolicyConfig {
         dwell_ns: 0,
         ewma_alpha: 1.0,
@@ -386,7 +376,28 @@ fn mid_stream_flip_soak(seed: u32) {
     );
     let mut engine = PolicyEngine::new(pcfg);
     engine.register_class(1, "small", Some(prior), 0);
-    session.set_policy(engine);
+    let layers = SessionLayers {
+        policy: Some(engine),
+        ..SessionLayers::default()
+    };
+    let mut session = ResilientSession::with_layers(
+        fabric.clone(),
+        bundle,
+        link_cfg,
+        link_cfg,
+        registry.clone(),
+        &conn,
+        cfg,
+        layers,
+    )
+    .unwrap();
+    session.register(
+        1,
+        Arc::new(|view, out| {
+            out.extend_from_slice(&view.get_u32(1).unwrap().to_le_bytes());
+            0
+        }),
+    );
     assert_eq!(session.policy().unwrap().route_of(1), Some(Route::Dpu));
 
     // Chaos schedule: one guaranteed early connection kill plus a
