@@ -11,7 +11,7 @@
 //!    class id, serving the same role of runtime type identity), a
 //!    presence bitfield, then fields in declaration order with natural
 //!    sizes/alignments — `sizeof`, `alignof` and `offsetof` agreement being
-//!    precisely the paper's binary-compatibility criterion (§V.A).
+//!    precisely the paper's binary-compatibility condition (§V.A).
 //!    Strings are 32-byte libstdc++ `std::string`s with small-string
 //!    optimization (§V.C, Fig 6); a 24-byte simplified libc++ layout is
 //!    also provided since the paper discusses supporting it. Repeated

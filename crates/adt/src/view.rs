@@ -550,16 +550,32 @@ mod tests {
         NativeObject::from_slice(adt, class, arena, 0).unwrap()
     }
 
-    fn aligned_arena(len: usize) -> Vec<u8> {
-        // Vec<u8> allocations may be 1-aligned; over-allocate via u64 to
-        // guarantee 8-alignment of the base pointer.
-        let v: Vec<u64> = vec![0; len.div_ceil(8)];
-        let mut v = std::mem::ManuallyDrop::new(v);
-        // SAFETY: reinterpreting u64 storage as bytes; capacity/length
-        // scaled accordingly; alignment of u8 (1) is weaker than u64 (8),
-        // and Vec's allocator contract still sees a compatible layout
-        // because we rebuild with the byte-scaled capacity.
-        unsafe { Vec::from_raw_parts(v.as_mut_ptr() as *mut u8, len, v.capacity() * 8) }
+    /// An 8-aligned test arena: a byte buffer over-allocated by a word,
+    /// viewed from its first 8-aligned byte (the same carve-out the host
+    /// scratch arena uses), so the storage is freed as what it is.
+    struct AlignedArena {
+        buf: Vec<u8>,
+        skew: usize,
+        len: usize,
+    }
+
+    impl std::ops::Deref for AlignedArena {
+        type Target = [u8];
+        fn deref(&self) -> &[u8] {
+            &self.buf[self.skew..self.skew + self.len]
+        }
+    }
+
+    impl std::ops::DerefMut for AlignedArena {
+        fn deref_mut(&mut self) -> &mut [u8] {
+            &mut self.buf[self.skew..self.skew + self.len]
+        }
+    }
+
+    fn aligned_arena(len: usize) -> AlignedArena {
+        let buf = vec![0u8; len + 7];
+        let skew = buf.as_ptr().align_offset(8);
+        AlignedArena { buf, skew, len }
     }
 
     #[test]

@@ -9,17 +9,15 @@
 //!
 //! Live:    `pbo_doctor --addr 127.0.0.1:9464`
 //! Offline: `pbo_doctor --attrib-file attrib.json [--metrics-file m.txt]`
-//! CI gate: `pbo_doctor ... --expect credit_starvation` exits non-zero
-//!          unless the expected cause ranks first.
 //!
-//! Exit codes: 0 = diagnosed (and expectation met), 1 = expectation not
-//! met or nothing attributed, 2 = usage or scrape failure.
+//! Exit codes: 0 = diagnosed, 1 = nothing attributed, 2 = usage or
+//! scrape failure.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use pbo_bench::doctor::{diagnose, render_report, Cause, Evidence};
+use pbo_bench::doctor::{diagnose, render_report, Evidence};
 use pbo_bench::json::{self, Json};
 
 fn fetch(addr: &str, path: &str) -> Result<String, String> {
@@ -62,7 +60,6 @@ fn main() {
     let mut addr: Option<String> = None;
     let mut attrib_file: Option<String> = None;
     let mut metrics_file: Option<String> = None;
-    let mut expect: Option<Cause> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut val = |name: &str| {
@@ -73,17 +70,8 @@ fn main() {
             "--addr" => addr = Some(val("--addr")),
             "--attrib-file" => attrib_file = Some(val("--attrib-file")),
             "--metrics-file" => metrics_file = Some(val("--metrics-file")),
-            "--expect" => {
-                let name = val("--expect");
-                expect = Some(Cause::from_name(&name).unwrap_or_else(|| {
-                    die(&format!(
-                        "unknown cause {name:?}; expected one of: {}",
-                        Cause::all().map(Cause::name).join(", ")
-                    ))
-                }));
-            }
             other => die(&format!(
-                "unknown flag {other}; flags: --addr --attrib-file --metrics-file --expect"
+                "unknown flag {other}; flags: --addr --attrib-file --metrics-file"
             )),
         }
     }
@@ -123,17 +111,4 @@ fn main() {
 
     let findings = diagnose(&ev);
     print!("{}", render_report(&findings, &ev));
-
-    if let Some(expected) = expect {
-        let top = findings.first().map(|f| f.cause);
-        if top != Some(expected) {
-            eprintln!(
-                "pbo_doctor: expected {} to rank first, got {}",
-                expected.name(),
-                top.map(Cause::name).unwrap_or("nothing")
-            );
-            std::process::exit(1);
-        }
-        println!("expectation met: {} ranks first", expected.name());
-    }
 }

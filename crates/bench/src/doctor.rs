@@ -66,7 +66,7 @@ impl Cause {
         ]
     }
 
-    /// Stable machine-readable name (the `--expect` vocabulary).
+    /// Stable machine-readable name, as printed in the report.
     pub fn name(self) -> &'static str {
         match self {
             Cause::CreditStarvation => "credit_starvation",
@@ -76,11 +76,6 @@ impl Cause {
             Cause::LeaseFailover => "lease_failover",
             Cause::CacheThrash => "cache_thrash",
         }
-    }
-
-    /// Parses an `--expect` argument.
-    pub fn from_name(name: &str) -> Option<Cause> {
-        Cause::all().into_iter().find(|c| c.name() == name)
     }
 
     /// The datapath stages this cause owns on the critical path.
@@ -738,10 +733,6 @@ mod tests {
             .evidence
             .iter()
             .any(|l| l.contains("rpc_credit_stalls_total=41")));
-        for c in Cause::all() {
-            assert_eq!(Cause::from_name(c.name()), Some(c));
-        }
-        assert_eq!(Cause::from_name("cosmic_rays"), None);
         let report = render_report(&findings, &ev);
         assert!(report.contains("verdict: credit_starvation"), "{report}");
         assert!(report.contains("0x00000000deadbeef"), "{report}");

@@ -10,7 +10,6 @@
 
 pub mod doctor;
 pub mod json;
-pub mod obs;
 
 use pbo_adt::{Adt, NativeWriter, StdLib, WriterConfig};
 use pbo_core::ServiceSchema;

@@ -17,18 +17,16 @@
 //! Either way the business logic is byte-for-byte the same — the paper's
 //! "minimal code modifications" claim, demonstrated.
 
-use crate::offload::spin_until_ns;
 use crate::service::ServiceSchema;
 use parking_lot::Mutex;
 use pbo_adt::{BuildError, NativeBuilder, NativeObject, NativeWriter, WriterConfig};
-use pbo_dpusim::CostCoeffs;
 use pbo_metrics::{Counter, Registry};
-use pbo_protowire::{DeserStats, StackDeserializer};
+use pbo_protowire::StackDeserializer;
 use pbo_rpcrdma::client::PayloadError;
 use pbo_rpcrdma::server::{NativeResponse, Request, ResponseSink};
 use pbo_rpcrdma::{RpcError, RpcServer};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Shared quarantine-counter slot: handler closures hold a clone, so the
 /// binding may happen before or after registration.
@@ -45,19 +43,6 @@ fn count_quarantine(cell: &QuarantineCell) {
 /// request, so label sets follow whatever tenants actually show up (the
 /// registry's tenant cardinality cap bounds hostile streams).
 type TenantRegistryCell = Arc<Mutex<Option<Arc<Registry>>>>;
-
-/// Shared host-platform-emulation slot: when set, every host-side
-/// deserialization spin-waits until `scale ×` the modeled Xeon cost of
-/// the work it just did has elapsed, so closed-loop benchmarks see the
-/// host as a real service station instead of a zero-cost one. `None`
-/// (the default) disables the throttle entirely.
-type ThrottleCell = Arc<Mutex<Option<f64>>>;
-
-fn host_throttle(cell: &ThrottleCell, t0: Instant, stats: &DeserStats) {
-    if let Some(scale) = *cell.lock() {
-        spin_until_ns(t0, CostCoeffs::host_xeon().deser_time_ns(stats) * scale);
-    }
-}
 
 fn count_tenant_dispatch(cell: &TenantRegistryCell, tenant: &str) {
     if let Some(r) = &*cell.lock() {
@@ -113,7 +98,6 @@ pub struct CompatServer {
     mode: PayloadMode,
     quarantined: QuarantineCell,
     tenant_reg: TenantRegistryCell,
-    deser_throttle: ThrottleCell,
 }
 
 impl CompatServer {
@@ -124,20 +108,7 @@ impl CompatServer {
             mode,
             quarantined: Arc::new(Mutex::new(None)),
             tenant_reg: Arc::new(Mutex::new(None)),
-            deser_throttle: Arc::new(Mutex::new(None)),
         }
-    }
-
-    /// Sets (or clears) the host-platform-emulation throttle: with
-    /// `Some(scale)`, every host-side deserialization busy-waits until
-    /// `scale ×` its modeled Xeon cost
-    /// ([`pbo_dpusim::CostCoeffs::host_xeon`] priced over the real
-    /// [`pbo_protowire::DeserStats`]) has elapsed. Benchmarks use this
-    /// to give the host and DPU honest relative service rates; `None`
-    /// (the default) is a no-op. May be called before or after handlers
-    /// are registered.
-    pub fn set_deser_throttle(&mut self, scale: Option<f64>) {
-        *self.deser_throttle.lock() = scale;
     }
 
     /// Binds a metrics registry: every request this server fails with
@@ -412,7 +383,6 @@ struct Materializer {
     /// reused across requests (no steady-state allocation).
     scratch: Vec<u8>,
     quarantined: QuarantineCell,
-    throttle: ThrottleCell,
 }
 
 impl Materializer {
@@ -427,7 +397,6 @@ impl Materializer {
             class,
             scratch: Vec::new(),
             quarantined: server.quarantined.clone(),
-            throttle: server.deser_throttle.clone(),
         }
     }
 
@@ -457,11 +426,9 @@ impl Materializer {
         sink: &mut ResponseSink,
         run: impl FnOnce(&NativeObject<'_>, &mut Vec<u8>) -> u16,
     ) -> u16 {
-        let t0 = Instant::now();
         let (adt, scratch) = (&self.adt, &mut self.scratch);
         match host_deserialize(adt, &self.schema, &self.desc, payload, scratch) {
-            Ok((skew, root_offset, stats)) => {
-                host_throttle(&self.throttle, t0, &stats);
+            Ok((skew, root_offset)) => {
                 let view = NativeObject::from_slice(adt, self.class, &scratch[skew..], root_offset)
                     .expect("just built");
                 respond(sink, |out| run(&view, out))
@@ -511,9 +478,7 @@ fn request_class(
 /// stack deserializer, same native layout as the DPU path. The arena is
 /// over-allocated by a word so an 8-aligned window can be carved out
 /// regardless of where the allocator placed it. On success returns the
-/// alignment skew, root offset, and the work-unit counts of the
-/// deserialization (so callers can feed the adaptive policy's host-side
-/// cost model); view the object with
+/// alignment skew and root offset; view the object with
 /// `NativeObject::from_slice(adt, class, &scratch[skew..], root_offset)`.
 /// Shared by the baseline arm of [`CompatServer::register_native`] and the
 /// degraded arm of [`CompatServer::register_degradable`].
@@ -523,7 +488,7 @@ fn host_deserialize(
     desc: &Arc<pbo_protowire::MessageDescriptor>,
     payload: &[u8],
     scratch: &mut Vec<u8>,
-) -> Result<(usize, usize, DeserStats), ()> {
+) -> Result<(usize, usize), ()> {
     let need = payload.len() * 2 + 1024 + 8;
     if scratch.len() < need {
         scratch.resize(need, 0);
@@ -536,12 +501,12 @@ fn host_deserialize(
         .and_then(|mut w| {
             // Same trust boundary as the DPU path: these bytes came off
             // the wire unvalidated, so the same budgets apply.
-            let stats = StackDeserializer::new(schema)
+            StackDeserializer::new(schema)
                 .with_limits(pbo_protowire::DeserLimits::hardened())
                 .deserialize(desc, payload, &mut w)?;
-            Ok((w.finish()?, stats))
+            w.finish()
         })
-        .map(|(res, stats)| (skew, res.root_offset, stats))
+        .map(|res| (skew, res.root_offset))
         .map_err(|_| ())
 }
 
@@ -602,7 +567,7 @@ impl HostDirect {
         self.procs.insert(
             proc_id,
             Box::new(move |payload, out| {
-                let (skew, root_offset, _stats) =
+                let (skew, root_offset) =
                     host_deserialize(&adt, &schema, &desc, payload, &mut scratch)?;
                 let view = NativeObject::from_slice(&adt, class, &scratch[skew..], root_offset)
                     .expect("just built");

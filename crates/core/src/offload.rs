@@ -16,7 +16,6 @@
 
 use crate::service::ServiceSchema;
 use pbo_adt::{NativeWriter, WriterConfig};
-use pbo_dpusim::CostCoeffs;
 use pbo_metrics::Registry;
 use pbo_protowire::{DecodeError, DeserLimits, DeserStats, StackDeserializer};
 use pbo_rpcrdma::client::{Continuation, PayloadError};
@@ -48,12 +47,6 @@ pub struct OffloadClient {
     /// offloaded deserialization (consumed by the adaptive offload
     /// policy to refresh its per-class cost prior).
     last_deser: Option<(DeserStats, u64)>,
-    /// Platform-emulation throttle: when set, each offloaded
-    /// deserialization spins until it has taken at least
-    /// `scale × dpu_a78().deser_time_ns(stats)` wall ns, turning the
-    /// modelled BlueField-3 service time into real occupancy of the
-    /// poller thread (bench-only; `None` in production paths).
-    throttle: Option<f64>,
 }
 
 impl OffloadClient {
@@ -80,17 +73,7 @@ impl OffloadClient {
             limits: DeserLimits::hardened(),
             metrics: None,
             last_deser: None,
-            throttle: None,
         })
-    }
-
-    /// Enables (or clears) the platform-emulation throttle: each
-    /// offloaded deserialization additionally spins the calling thread
-    /// until `scale ×` the modelled DPU deserialization time has
-    /// elapsed, so same-silicon benchmarks pay realistic BlueField-3
-    /// service times on the DPU route.
-    pub fn set_deser_throttle(&mut self, scale: Option<f64>) {
-        self.throttle = scale;
     }
 
     /// Takes the work-unit counts and native (block) size of the most
@@ -219,14 +202,12 @@ impl OffloadClient {
         let clock = self.trace.as_ref().map(|(t, _)| t.clone());
         let limits = self.limits;
         let metrics = self.metrics.clone();
-        let throttle = self.throttle;
         self.last_deser = None;
         self.rpc.enqueue_with_meta(
             proc_id,
             hint,
             metadata,
             &mut |dst: &mut [u8], host_addr: u64| {
-                let t0 = std::time::Instant::now();
                 let start_ns = clock.as_ref().map(|c| c.now_ns()).unwrap_or(0);
                 let mut writer = NativeWriter::new(
                     &adt,
@@ -254,9 +235,6 @@ impl OffloadClient {
                         map_decode_err(e)
                     })?;
                 let result = writer.finish().map_err(map_decode_err)?;
-                if let Some(scale) = throttle {
-                    spin_until_ns(t0, CostCoeffs::dpu_a78().deser_time_ns(&stats) * scale);
-                }
                 deser_out.set(Some((stats, result.used as u64)));
                 if let Some(c) = &clock {
                     deser_window.set((start_ns, c.now_ns()));
@@ -361,15 +339,6 @@ impl OffloadClient {
     /// [`RpcClient::event_loop`].
     pub fn event_loop(&mut self, timeout: Duration) -> Result<usize, RpcError> {
         self.rpc.event_loop(timeout)
-    }
-}
-
-/// Spins the calling thread until at least `target_ns` have elapsed
-/// since `t0` (platform-emulation throttle; sub-microsecond precision is
-/// all the cost model needs).
-pub(crate) fn spin_until_ns(t0: std::time::Instant, target_ns: f64) {
-    while (t0.elapsed().as_nanos() as f64) < target_ns {
-        std::hint::spin_loop();
     }
 }
 

@@ -48,7 +48,7 @@ impl Default for MonitorConfig {
 pub struct StabilityReport {
     /// Final instant rate (units per second).
     pub rate_per_sec: f64,
-    /// Whether the tolerance criterion was met (vs. hitting `max_samples`).
+    /// Whether the tolerance condition was met (vs. hitting `max_samples`).
     pub stable: bool,
     /// Number of samples consumed.
     pub samples: usize,
@@ -124,7 +124,7 @@ impl Monitor {
         rate
     }
 
-    /// Whether the stability criterion has been met.
+    /// Whether the stability condition has been met.
     pub fn is_stable(&self) -> bool {
         self.stable_run >= self.cfg.required_stable
     }

@@ -166,6 +166,8 @@ mod tests {
 
     #[test]
     fn known_encodings() {
+        const U64_MAX_VARINT: [u8; 10] =
+            [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
         let cases: &[(u64, &[u8])] = &[
             (0, &[0x00]),
             (1, &[0x01]),
@@ -174,15 +176,7 @@ mod tests {
             (300, &[0xac, 0x02]),
             (16383, &[0xff, 0x7f]),
             (16384, &[0x80, 0x80, 0x01]),
-            (
-                u64::MAX,
-                [0xff; 9]
-                    .iter()
-                    .copied()
-                    .chain([0x01])
-                    .collect::<Vec<_>>()
-                    .leak(),
-            ),
+            (u64::MAX, &U64_MAX_VARINT),
         ];
         for (v, bytes) in cases {
             let mut out = Vec::new();

@@ -1,6 +1,5 @@
 //! Exporters: Chrome trace-event JSON (loadable in Perfetto /
-//! `chrome://tracing`) and text summaries (per-request waterfall,
-//! per-stage latency table).
+//! `chrome://tracing`) and per-stage latency summaries.
 
 use crate::span::Span;
 use std::collections::BTreeMap;
@@ -139,76 +138,6 @@ pub fn stage_stats(spans: &[Span]) -> Vec<StageStats> {
     stats
 }
 
-fn fmt_ns(ns: f64) -> String {
-    if ns < 1_000.0 {
-        format!("{ns:.0} ns")
-    } else if ns < 1_000_000.0 {
-        format!("{:.2} µs", ns / 1_000.0)
-    } else {
-        format!("{:.3} ms", ns / 1_000_000.0)
-    }
-}
-
-/// Renders a per-stage latency table.
-pub fn stage_table(title: &str, spans: &[Span]) -> String {
-    let stats = stage_stats(spans);
-    let mut out = String::new();
-    let _ = writeln!(out, "{title}");
-    let _ = writeln!(
-        out,
-        "  {:<16} {:>8} {:>12} {:>12} {:>12} {:>12}",
-        "stage", "count", "mean", "p50", "p99", "bytes"
-    );
-    for s in &stats {
-        let _ = writeln!(
-            out,
-            "  {:<16} {:>8} {:>12} {:>12} {:>12} {:>12}",
-            s.stage,
-            s.count,
-            fmt_ns(s.mean_ns),
-            fmt_ns(s.p50_ns as f64),
-            fmt_ns(s.p99_ns as f64),
-            s.bytes
-        );
-    }
-    out
-}
-
-/// Renders an aligned text waterfall of one request's span chain:
-/// stages in start order, each with an offset/duration bar.
-pub fn waterfall(trace_id: u64, spans: &[Span]) -> String {
-    let mut chain: Vec<&Span> = spans.iter().filter(|s| s.trace_id == trace_id).collect();
-    chain.sort_by_key(|s| (s.start_ns, s.end_ns));
-    let mut out = String::new();
-    let _ = writeln!(out, "trace {trace_id:#018x}");
-    let Some(first) = chain.first() else {
-        let _ = writeln!(out, "  (no spans)");
-        return out;
-    };
-    let t0 = first.start_ns;
-    let t_end = chain.iter().map(|s| s.end_ns).max().unwrap_or(t0);
-    let total = (t_end - t0).max(1);
-    const WIDTH: u64 = 40;
-    for s in &chain {
-        let off = (s.start_ns - t0) * WIDTH / total;
-        let len = (s.duration_ns() * WIDTH / total)
-            .max(1)
-            .min(WIDTH - off.min(WIDTH - 1));
-        let bar: String = std::iter::repeat_n(' ', off as usize)
-            .chain(std::iter::repeat_n('#', len as usize))
-            .collect();
-        let _ = writeln!(
-            out,
-            "  {:<16} [{bar:<width$}] +{:<10} {}",
-            s.stage,
-            fmt_ns((s.start_ns - t0) as f64),
-            fmt_ns(s.duration_ns() as f64),
-            width = WIDTH as usize,
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,23 +196,5 @@ mod tests {
         assert_eq!(stats[1].bytes, 192);
         assert_eq!(stats[1].p50_ns, 500);
         assert_eq!(stats[1].p99_ns, 2500);
-    }
-
-    #[test]
-    fn waterfall_filters_by_trace_id() {
-        let text = waterfall(7, &spans());
-        assert!(text.contains("terminate"));
-        assert!(text.contains("deserialize"));
-        assert_eq!(text.matches('\n').count(), 3); // header + 2 spans
-        let none = waterfall(42, &spans());
-        assert!(none.contains("(no spans)"));
-    }
-
-    #[test]
-    fn stage_table_renders_rows() {
-        let t = stage_table("stagebreak", &spans());
-        assert!(t.contains("stagebreak"));
-        assert!(t.contains("terminate"));
-        assert!(t.contains("p99"));
     }
 }

@@ -11,8 +11,8 @@
 //! write-with-immediate, PCIe DMA, host dispatch, response build, and
 //! the client-visible response wait (see [`stages`]). Collected spans
 //! export as Chrome trace-event JSON ([`chrome_trace_json`], loadable in
-//! Perfetto) or as text summaries ([`stage_table`], [`waterfall`]), and
-//! optionally feed per-stage latency histograms into a
+//! Perfetto) or as per-stage summaries ([`stage_stats`]), and optionally
+//! feed per-stage latency histograms into a
 //! `pbo-metrics` [`pbo_metrics::Registry`].
 //!
 //! Simulation backends stamp spans from a [`VirtualClock`] so wall-clock
@@ -34,9 +34,7 @@ pub use attrib::{
     KeptTrace, StageAttrib, StageBudgets, UNATTRIBUTED, UNTRACKED,
 };
 pub use clock::{Clock, VirtualClock};
-pub use export::{
-    chrome_trace_json, stage_stats, stage_table, waterfall, StageStats, TraceProcess,
-};
+pub use export::{chrome_trace_json, stage_stats, StageStats, TraceProcess};
 pub use flight::{triggers, FlightDump, FlightRecord, FlightRecorder};
 pub use span::{stages, Span, SpanSink};
 pub use tail::{TailConfig, TailDecision, TailSampler, TailStats};

@@ -2,23 +2,32 @@
 //! exemplar retention and eviction, the tail sampler's provable keep-rate
 //! bound, and the full diagnosis chain — an injected credit-starvation
 //! fault must come out of `pbo_doctor`'s ranking in first place, with an
-//! exemplar trace id whose critical path shows `credit_wait` dominant.
+//! exemplar trace id whose critical path shows `credit_wait` dominant, and
+//! a response cache whose TTL lapses between requests must come out as
+//! cache thrash.
 
 use pbo_bench::doctor::{self, Cause, Evidence};
 use pbo_bench::json;
-use pbo_core::{run_scenario_traced_on, ScenarioConfig, ScenarioKind};
+use pbo_core::{
+    run_scenario_traced_on, CacheConfig, ResilientSession, ResponseCache, ScenarioConfig,
+    ScenarioKind, ServiceSchema, SessionConfig, SessionLayers,
+};
 use pbo_metrics::{ExemplarConfig, ExemplarStore, Registry};
-use pbo_protowire::workloads::WorkloadKind;
+use pbo_protowire::encode_message;
+use pbo_protowire::workloads::{gen_int_array, paper_schema, Mt19937, WorkloadKind};
+use pbo_rpcrdma::Config;
+use pbo_simnet::Fabric;
 use pbo_telemetry::{ScrapeLimits, Telemetry, TelemetryServer};
 use pbo_trace::{
-    critical_path, stages, AttribConfig, AttributionEngine, Span, TailConfig, TailDecision,
-    TailSampler, TraceConfig, Tracer,
+    critical_path, stages, AttribConfig, AttributionEngine, Clock, Span, TailConfig, TailDecision,
+    TailSampler, TraceConfig, Tracer, VirtualClock, UNTRACKED,
 };
 use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn span(stage: &'static str, start_ns: u64, end_ns: u64) -> Span {
     Span {
@@ -269,6 +278,179 @@ fn doctor_ranks_injected_credit_starvation_first() {
             .unwrap_or(false)
     });
     assert!(credit_bound, "no kept trace shows credit_wait dominant");
+
+    // Attribution sanity: the top-ranked stage is a documented one (or
+    // the uncovered remainder), and the tail keep-set honours its
+    // retention bound.
+    let summary = engine.summary();
+    let top = summary.top_stage().expect("stages ranked");
+    assert!(
+        stages::ALL.contains(&top.stage) || top.stage == UNTRACKED,
+        "undocumented top stage {:?}",
+        top.stage
+    );
+    let tail = summary.tail.expect("tail sampler bound");
+    let bound = tail.seen as f64 * 0.05 + 64.0;
+    assert!(
+        (tail.kept_tail as f64) < bound,
+        "tail keeps {} exceed the retention bound {bound:.0}",
+        tail.kept_tail
+    );
+}
+
+/// Key population of the cached read mix: each key is one distinct Ints
+/// request, reused verbatim on every occurrence so repeats can hit.
+const CACHE_KEYS: usize = 64;
+/// Requests in each cached run.
+const CACHE_REQUESTS: usize = 600;
+/// Virtual time each request takes on the session clock.
+const REQUEST_NS: u64 = 1_000;
+
+/// Samples `n` zipf(s = 1) ranks over `keys` (rank 0 hottest).
+fn zipf_ranks(n: usize, keys: usize, rng: &mut Mt19937) -> Vec<usize> {
+    let cdf: Vec<f64> = (1..=keys)
+        .scan(0.0, |acc, r| {
+            *acc += 1.0 / r as f64;
+            Some(*acc)
+        })
+        .collect();
+    let total = cdf[keys - 1];
+    (0..n)
+        .map(|_| {
+            let u = rng.below(1 << 30) as f64 / (1u64 << 30) as f64 * total;
+            cdf.partition_point(|&c| c < u).min(keys - 1)
+        })
+        .collect()
+}
+
+/// Replays one seeded zipf key stream closed-loop through a cached
+/// [`ResilientSession`] on a virtual clock that advances [`REQUEST_NS`]
+/// per request, with the Ints method declared cachable at `ttl_ns` (or
+/// the default TTL). Every request is traced and attributed; returns the
+/// doctor's evidence (the `/attrib` payload plus the registry's
+/// exposition) and the registry.
+fn zipf_cached_run(ttl_ns: Option<u64>) -> (Evidence, Arc<Registry>) {
+    const PROC_INTS: u16 = 2;
+    let registry = Arc::new(Registry::new());
+    let tracer = Tracer::new(TraceConfig::sampled(1));
+    tracer.bind_registry(&registry);
+    let engine = AttributionEngine::new(AttribConfig::default());
+    tracer.bind_attribution(&engine);
+    let vclock = VirtualClock::new();
+    let cache = ResponseCache::new(CacheConfig::default());
+    match ttl_ns {
+        Some(ttl) => cache.declare(PROC_INTS, ttl),
+        None => cache.declare_default(PROC_INTS),
+    }
+    let mut session = ResilientSession::with_layers(
+        Fabric::new(),
+        ServiceSchema::paper_bench(),
+        Config::test_small(),
+        Config::test_small(),
+        registry.clone(),
+        "zipf",
+        SessionConfig::default(),
+        SessionLayers {
+            clock: Clock::virtual_from(&vclock),
+            tracer,
+            cache: Some(cache),
+            ..SessionLayers::default()
+        },
+    )
+    .expect("session establishes");
+    session.register(
+        PROC_INTS,
+        Arc::new(|view, out| {
+            out.extend_from_slice(&view.meta().size.to_le_bytes());
+            0
+        }),
+    );
+
+    let schema = paper_schema();
+    let mut rng = Mt19937::new(7);
+    let keys: Vec<Vec<u8>> = (0..CACHE_KEYS)
+        .map(|_| encode_message(&gen_int_array(&schema, &mut rng, 512)))
+        .collect();
+    for (i, rank) in zipf_ranks(CACHE_REQUESTS, CACHE_KEYS, &mut rng)
+        .into_iter()
+        .enumerate()
+    {
+        vclock.set_ns((i as u64 + 1) * REQUEST_NS);
+        let status = Arc::new(AtomicU64::new(u64::MAX));
+        let st = status.clone();
+        session
+            .call(
+                PROC_INTS,
+                &keys[rank],
+                Box::new(move |_payload, s| st.store(s as u64, Ordering::Release)),
+            )
+            .expect("call accepted");
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while status.load(Ordering::Acquire) == u64::MAX {
+            assert!(Instant::now() < deadline, "request {i} never completed");
+            session.tick(Duration::ZERO).expect("session ticks");
+        }
+        assert_eq!(status.load(Ordering::Acquire), 0, "request {i} failed");
+    }
+
+    let telemetry = Telemetry::new(Arc::clone(&registry));
+    telemetry.bind_attribution(&engine);
+    let attrib = telemetry.handle("/attrib");
+    assert_eq!(attrib.status, 200);
+    let doc = json::parse(&attrib.body).expect("valid /attrib JSON");
+    let ev = Evidence::from_attrib(&doc)
+        .expect("attrib evidence")
+        .with_metrics(&registry.expose());
+    (ev, registry)
+}
+
+/// The response cache end to end through the doctor. Declared at a TTL
+/// shorter than one request, every entry lapses before its key comes
+/// back: the doctor must rank cache thrash first. Declared at the default
+/// TTL, the same zipf stream must hit on more than half its lookups.
+#[test]
+fn doctor_ranks_ttl_thrash_first_and_zipf_hits_at_default_ttl() {
+    let (ev, registry) = zipf_cached_run(Some(REQUEST_NS / 2));
+    assert!(ev.finalized > 0, "nothing attributed");
+    assert!(
+        registry.counter_sum("cache_expired_total") > 0,
+        "no TTL churn"
+    );
+    let findings = doctor::diagnose(&ev);
+    assert_eq!(
+        findings[0].cause,
+        Cause::CacheThrash,
+        "expected cache thrash to rank first, got {:?} (evidence: {:?})",
+        findings[0].cause,
+        findings[0].evidence
+    );
+    // Ranked first on churn, not merely on misses.
+    for line in ["of stores evicted", "TTL churn"] {
+        assert!(
+            findings[0].evidence.iter().any(|l| l.contains(line)),
+            "no {line:?} evidence: {:?}",
+            findings[0].evidence
+        );
+    }
+    let thrash_score = findings[0].score;
+
+    let (ev, registry) = zipf_cached_run(None);
+    let healthy = doctor::diagnose(&ev)
+        .into_iter()
+        .find(|f| f.cause == Cause::CacheThrash)
+        .expect("every cause is scored");
+    assert!(
+        healthy.score < thrash_score / 2.0,
+        "a healthy cache scores {:.3} against the thrashing one's {thrash_score:.3}",
+        healthy.score
+    );
+    let hits = registry.counter_sum("cache_hits_total");
+    let lookups = hits + registry.counter_sum("cache_misses_total");
+    assert_eq!(lookups, CACHE_REQUESTS as u64);
+    assert!(
+        hits as f64 / lookups as f64 > 0.5,
+        "zipf hit ratio {hits}/{lookups} at the default TTL"
+    );
 }
 
 /// The hardened scrape limits cover `/attrib` exactly as they cover

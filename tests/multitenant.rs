@@ -10,7 +10,8 @@
 //! * overload sheds with the retryable [`pbo_core::STATUS_SHED`] status
 //!   instead of collapsing — and never trips the circuit breaker;
 //! * per-tenant observability (scheduler counters on the DPU side,
-//!   `host_dispatch_total{tenant}` on the host side);
+//!   `host_dispatch_total{tenant}` on the host side, attribution cells
+//!   labeled by tenant);
 //! * the noisy-neighbor chaos soak: a flooding tenant plus connection
 //!   kills must not blow up the victim tenant's tail latency.
 
@@ -27,6 +28,7 @@ use pbo_protowire::encode_message;
 use pbo_protowire::workloads::{gen_small, paper_schema, Mt19937};
 use pbo_rpcrdma::{establish, Config, RetryClass, RpcError};
 use pbo_simnet::{Fabric, FaultKind, TcpFabric};
+use pbo_trace::{AttribConfig, AttributionEngine, TraceConfig, Tracer};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -412,7 +414,7 @@ fn session_overload_sheds_retryably_without_tripping_breaker() {
 /// Full Figure-1 topology with the scheduler in the DPU: tenant metadata
 /// set by a plain xRPC client flows through termination, classification,
 /// the RDMA datapath, and lands in the host's per-tenant dispatch
-/// counters.
+/// counters and in the tenant label of each request's attribution cell.
 #[test]
 fn tenant_metadata_flows_to_host_dispatch_counters() {
     let bundle = ServiceSchema::paper_bench();
@@ -443,8 +445,12 @@ fn tenant_metadata_flows_to_host_dispatch_counters() {
 
     let mut sched: TenantScheduler<ForwardRequest> = TenantScheduler::new(pair_cfg());
     sched.bind_metrics(&registry);
+    let tracer = Tracer::new(TraceConfig::sampled(1));
+    let engine = AttributionEngine::new(AttribConfig::default());
+    tracer.bind_attribution(&engine);
     let layers = Layers {
         sched: Some(sched),
+        tracer,
         conn_label: "e2e".to_string(),
         ..Layers::new(ForwardMode::Offload)
     };
@@ -472,8 +478,16 @@ fn tenant_metadata_flows_to_host_dispatch_counters() {
     host_stop.store(true, Ordering::Release);
     host.join().unwrap();
 
-    // DPU-side scheduler counters and host-side dispatch counters agree.
+    // DPU-side scheduler counters, host-side dispatch counters and the
+    // attribution cells all agree.
+    let cells = engine.summary().keys;
     for (tenant, n) in [("light", 3), ("heavy", 6), (pbo_grpc::DEFAULT_TENANT, 1)] {
+        let attributed: u64 = cells
+            .iter()
+            .filter(|c| c.key.tenant == tenant)
+            .map(|c| c.requests)
+            .sum();
+        assert_eq!(attributed, n, "attributed requests for {tenant}");
         assert_eq!(
             registry.counter_value("host_dispatch_total", &[("tenant", tenant)]),
             Some(n),

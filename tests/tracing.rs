@@ -176,6 +176,16 @@ fn scenario_runner_traces_both_arms_without_perturbing_results() {
         let stats = run_scenario_traced(cfg, &tracer).unwrap();
         assert_eq!(stats.requests, 2_000);
         let spans: Vec<Span> = tracer.drain().into_iter().flat_map(|(_, s)| s).collect();
+        // Every emitted stage is a documented one, and every span is
+        // well-formed.
+        for s in &spans {
+            assert!(
+                stages::ALL.contains(&s.stage),
+                "undocumented stage {:?}",
+                s.stage
+            );
+            assert!(s.end_ns >= s.start_ns, "negative span {s:?}");
+        }
         // 1-in-32 over 2000 requests: 62-63 sampled ids, several spans each.
         let ids: BTreeSet<u64> = spans.iter().map(|s| s.trace_id).collect();
         assert!((60..=64).contains(&ids.len()), "{} ids", ids.len());
